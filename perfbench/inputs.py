@@ -214,8 +214,7 @@ def count_ops(seed, pass_index, unique):
     for L, terms in zip(spread(rng, 2, 12, k), spread(rng, 20, 150, k)):
         while not unique.fresh(("gf", L, terms, None)):
             terms += 1
-        picks = sorted(rng.sample(range(terms + 1), 8))
-        ops.append(_op("gf", ["gf", "--L", L, "--terms", terms], L=L, terms=terms, picks=picks))
+        ops.append(_op("gf", ["gf", "--L", L, "--terms", terms], L=L, terms=terms))
     k = COUNT_MIX["enumerate"]
     for idx in range(k):
         if idx % 2 == 0:

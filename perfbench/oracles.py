@@ -183,8 +183,8 @@ class Oracle:
         coeffs = out["coefficients"]
         if len(coeffs) != c["terms"] + 1:
             return f"{len(coeffs)} coefficients for {c['terms']} terms"
-        for n in c["picks"] + [c["terms"]]:
-            bad = _equal(coeffs[n], self.corner(c["L"], n))
+        for n, coeff in enumerate(coeffs):
+            bad = _equal(coeff, self.corner(c["L"], n))
             if bad:
                 return f"coefficient {n}: {bad}"
         return None
