@@ -10,8 +10,11 @@ op starts when the previous one has returned. Ops go through
 on ``verify``, through the public ``verify.check_*`` functions. Every answer
 is checked outside the timed region (see ``oracles.py``).
 
-A pass is one fixed op list drawn from the seed; passes are repeated, each
-with fresh inputs, while the next one still fits in ``--seconds``.
+A pass is one fixed op list drawn from the seed. Each workload runs a fixed
+number of passes (``PASSES``), each with fresh inputs, so a run's inputs
+depend on the seed alone and never on how fast the program is. They fit in
+40 s at the speed the benchmark was defined at; ``--seconds`` only caps a run
+that has become far slower: no pass starts once that much time is spent.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 ones from a traced pass over the same inputs as an untraced one, with the
@@ -39,9 +42,11 @@ sys.path.insert(0, HERE)
 
 import inputs  # noqa: E402
 from oracles import Oracle  # noqa: E402
+from scaffolds import scaffold_files, write_scaffolds  # noqa: E402
 from spans import DP_ENTRIES, Tracer  # noqa: E402
 
 WORKLOADS = ("count", "map", "verify")
+PASSES = {"count": 4, "map": 4, "verify": 1}
 OUTDIR = ".perfbench_out"
 FLOORS = os.path.join(HERE, "verify_floors.json")
 SETUP_REPEATS = 5
@@ -80,12 +85,10 @@ def workload_setup(tw, workload, seed, outdir):
     if workload != "map":
         return []
     os.makedirs(outdir, exist_ok=True)
-    files = inputs.scaffold_files(seed, outdir)
-    for L, sseed, path in files:
-        with redirect_stdout(io.StringIO()):
-            code = tw.cli.main(["scaffolding", "--L", str(L), "--seed", str(sseed), "--out", path])
-        if code != 0:
-            raise Broken(f"triwalks scaffolding --L {L} failed with code {code}")
+    files = scaffold_files(seed, outdir)
+    error = write_scaffolds(tw.cli.main, files)
+    if error:
+        raise Broken(error)
     return files
 
 
@@ -327,22 +330,20 @@ def per_layer(tracer, names, untraced_wall, traced, import_s):
 # -- the run -------------------------------------------------------------------------
 
 def measure(tw, workload, seed, seconds, files, oracle):
-    """Untraced passes while the next one fits in ``seconds``."""
+    """The workload's fixed number of untraced passes, unless ``seconds`` run out first."""
     result = Result()
     unique = inputs._Unique()
     names = check_order(tw.verify)
     floors = load_floors()
     t0 = time.perf_counter()
-    last = 0.0
-    pass_index = 0
-    while pass_index == 0 or time.perf_counter() - t0 + last <= seconds:
-        start = time.perf_counter()
+    for pass_index in range(PASSES[workload]):
+        if pass_index and time.perf_counter() - t0 > seconds:
+            print(f"perfbench: --seconds {seconds} spent after {pass_index} passes", file=sys.stderr)
+            break
         if workload == "verify":
             run_verify_pass(tw, names, floors, result)
         else:
             run_cli_pass(tw, make_ops(workload, seed, pass_index, unique, files), oracle, result)
-        last = time.perf_counter() - start
-        pass_index += 1
     return result
 
 

@@ -5,7 +5,7 @@
 It imports ``triwalks.cli`` from ``src/`` of the current directory, does the
 workload's own set-up (the map workload saves its random scaffoldings with
 ``triwalks scaffolding``) and prints ``ready``; run.py times the launch up to
-that line.
+that line. It loads no other part of the benchmark than ``scaffolds.py``.
 """
 
 import os
@@ -16,9 +16,12 @@ sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
 
 from triwalks import cli  # noqa: E402
 
-from run import OUTDIR, workload_setup  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
+from scaffolds import scaffold_files, write_scaffolds  # noqa: E402
 
-workload_setup(SimpleNamespace(cli=cli), sys.argv[1], int(sys.argv[2]),
-               os.path.join(os.getcwd(), OUTDIR))
+if sys.argv[1] == "map":
+    outdir = os.path.join(os.getcwd(), ".perfbench_out")
+    os.makedirs(outdir, exist_ok=True)
+    error = write_scaffolds(cli.main, scaffold_files(int(sys.argv[2]), outdir))
+    if error:
+        sys.exit(error)
 print("ready", flush=True)

@@ -15,6 +15,7 @@ sys.path.insert(0, HERE)
 import inputs  # noqa: E402
 import oracles  # noqa: E402
 import run  # noqa: E402
+import scaffolds  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 TW = run.load_package(ROOT)
@@ -22,7 +23,7 @@ TW = run.load_package(ROOT)
 
 def _ops(seed, pass_index=0, unique=None):
     unique = unique or inputs._Unique()
-    files = inputs.scaffold_files(seed, ".perfbench_out")
+    files = scaffolds.scaffold_files(seed, ".perfbench_out")
     return (inputs.count_ops(seed, pass_index, unique)
             + inputs.map_ops(seed, pass_index, files))
 
@@ -31,7 +32,7 @@ def test_same_seed_same_inputs():
     a = json.dumps(_ops(5)).encode()
     assert a == json.dumps(_ops(5)).encode()
     assert a != json.dumps(_ops(6)).encode()
-    assert inputs.scaffold_files(5, "x") == inputs.scaffold_files(5, "x")
+    assert scaffolds.scaffold_files(5, "x") == scaffolds.scaffold_files(5, "x")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -51,7 +52,7 @@ def test_inputs_are_valid(seed):
         if "start" in c:
             assert min(c["start"]) >= 0 and sum(c["start"]) == c["L"]
         if op["kind"] == "map file m2t":
-            assert c["L"] in {L for L, _, _ in inputs.scaffold_files(seed, ".perfbench_out")}
+            assert c["L"] in {L for L, _, _ in scaffolds.scaffold_files(seed, ".perfbench_out")}
     kinds = {op["kind"] for op in _ops(seed)}
     assert {"count triangular", "gf", "map omega t2m", "map bicolored two",
             "sample forward", "pyramid map"} <= kinds
