@@ -17,6 +17,10 @@ class OutOfLattice(TriwalksError):
         self.prefix_len = prefix_len
 
 
+class BadDirectionVector(TriwalksError):
+    """A direction vector has a letter other than F and B."""
+
+
 class CapExceeded(TriwalksError):
     """An enumeration would produce more objects than the configured cap."""
 

@@ -17,10 +17,12 @@ All counting is exact (Python ints); forward path counts grow roughly like
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import add
 
-from .errors import CapExceeded, OutOfLattice
+from .errors import BadDirectionVector, CapExceeded, OutOfLattice
 
 DEFAULT_CAP = 1_000_000
 
@@ -44,6 +46,12 @@ def step_vector(step, d=2):
     return tuple(v)
 
 
+def forward_neighbours(z):
+    """The candidate targets z + s_j, keyed by j; some may leave the lattice."""
+    d = len(z) - 1
+    return {j: tuple(map(add, z, step_vector(j, d))) for j in range(1, d + 2)}
+
+
 def apply_step(point, step):
     """Move ``point`` by ``step``; raises OutOfLattice on a negative coordinate."""
     d = len(point) - 1
@@ -51,10 +59,6 @@ def apply_step(point, step):
     if min(q) < 0:
         raise OutOfLattice(f"{point} + step {step} leaves the lattice")
     return q
-
-
-def in_lattice(point):
-    return min(point) >= 0
 
 
 @dataclass(frozen=True)
@@ -101,51 +105,89 @@ def validate_path(L, d, start, steps):
 
 def all_points(L, d=2):
     """Every point of the lattice, lexicographically by coordinates."""
-    pts = []
-    for head in itertools.product(range(L + 1), repeat=d):
-        if sum(head) <= L:
-            pts.append(head + (L - sum(head),))
-    return pts
+    return list(_graph(L, d)[0])
 
 
-def _neighbour_counts(counts, L, d, forward):
-    """One backwards DP sweep: counts indexed by point, one step family."""
-    new = {}
-    rng = range(1, d + 2)
-    for z in counts:
-        tot = 0
-        for j in rng:
-            v = step_vector(j if forward else -j, d)
-            q = tuple(a + b for a, b in zip(z, v))
-            if min(q) >= 0:
-                tot += counts[q]
-        new[z] = tot
-    return new
+def neighbour_rows(pts, moves):
+    """Index of ``pts``, and per point the positions of its neighbours in ``pts``."""
+    index = {z: k for k, z in enumerate(pts)}
+    rows = tuple(
+        tuple(index[q] for q in (tuple(map(add, z, v)) for v in moves) if q in index)
+        for z in pts
+    )
+    return index, rows
+
+
+@functools.lru_cache(maxsize=4)
+def _graph(L, d):
+    """Point index and neighbour rows per step family: F, B, and G for both.
+
+    Points are indexed lexicographically by coordinates. Cached per lattice;
+    it holds structure only, never a count. A few entries suffice, because
+    callers sweep one lattice many times in a row.
+    """
+    heads = itertools.product(range(L + 1), repeat=d)
+    pts = [h + (L - sum(h),) for h in heads if sum(h) <= L]
+    fam = {}
+    for ch, sign in (("F", 1), ("B", -1)):
+        moves = [step_vector(sign * j, d) for j in range(1, d + 2)]
+        index, fam[ch] = neighbour_rows(pts, moves)
+    fam["G"] = tuple(f + b for f, b in zip(fam["F"], fam["B"]))
+    return index, fam
+
+
+def sweep(counts, rows):
+    """One backwards DP step: the new count at k sums the counts over row k."""
+    return [sum([counts[k] for k in row]) for row in rows]
+
+
+def point_index(L, d, start):
+    """Position of ``start`` in ``all_points(L, d)``; OutOfLattice if absent."""
+    try:
+        return _graph(L, d)[0][tuple(start)]
+    except KeyError:
+        raise OutOfLattice(f"start {tuple(start)} not in the lattice of side {L}, d={d}") from None
+
+
+def _check_dv(dv):
+    bad = set(dv) - {"F", "B"}
+    if bad:
+        raise BadDirectionVector(f"direction vector {dv!r} has letters {sorted(bad)}; want F/B")
+
+
+def _table(L, d, letters):
+    index, fam = _graph(L, d)
+    counts = [1] * len(index)
+    for ch in reversed(letters):
+        counts = sweep(counts, fam[ch])
+    return counts
+
+
+def count_table(L, d, dv):
+    """Exact walk counts with direction vector ``dv``, indexed like ``all_points``.
+
+    Dynamic programming from the end of the walk: after the last k letters,
+    entry z holds the number of completions of length k from z.
+    """
+    _check_dv(dv)
+    return _table(L, d, dv)
+
+
+def generic_table(L, d, n):
+    """Length-n walk counts over both step families, from every point."""
+    return _table(L, d, "G" * n)
 
 
 def count_paths(L, d, start, dv):
-    """Exact number of walks from ``start`` with direction vector ``dv``.
-
-    Dynamic programming from the end of the walk: after processing the last
-    k letters, the table holds the number of completions of length k from
-    each point. Memory is one table per sweep.
-    """
-    start = tuple(start)
-    counts = {z: 1 for z in all_points(L, d)}
-    for ch in reversed(dv):
-        counts = _neighbour_counts(counts, L, d, forward=(ch == "F"))
-    return counts[start]
+    """Exact number of walks from ``start`` with direction vector ``dv``."""
+    k = point_index(L, d, start)
+    return count_table(L, d, dv)[k]
 
 
 def count_generic(L, d, start, n):
     """Number of length-n walks using both forward and backward steps."""
-    start = tuple(start)
-    counts = {z: 1 for z in all_points(L, d)}
-    for _ in range(n):
-        fwd = _neighbour_counts(counts, L, d, forward=True)
-        bwd = _neighbour_counts(counts, L, d, forward=False)
-        counts = {z: fwd[z] + bwd[z] for z in counts}
-    return counts[start]
+    k = point_index(L, d, start)
+    return generic_table(L, d, n)[k]
 
 
 def enumerate_paths(L, d, start, dv, cap=DEFAULT_CAP):
@@ -154,8 +196,9 @@ def enumerate_paths(L, d, start, dv, cap=DEFAULT_CAP):
     Serves as the enumeration oracle for the DP counts; guarded by ``cap``.
     """
     start = tuple(start)
-    if sum(start) != L or min(start) < 0:
-        raise OutOfLattice(f"start {start} not in the lattice of side {L}")
+    if len(start) != d + 1 or sum(start) != L or min(start) < 0:
+        raise OutOfLattice(f"start {start} not in the lattice of side {L}, d={d}")
+    _check_dv(dv)
     out = []
 
     def rec(p, acc):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import all_points, step_vector
+from .lattice import all_points, count_table, step_vector
 from .motzkin import meander_count_table
 
 
@@ -60,13 +60,7 @@ def profile(z, L=None):
 
 def cell_representation(z):
     """All cells of z from the closed form, sorted by (height, index)."""
-    x1, x2, x3 = z
-    out = []
-    for f in range(sum(z) // 2 + 1):
-        lo = max(0, f - x3)
-        hi = min(f, x1, x2, x1 + x2 - f)
-        out.extend((f, l) for l in range(lo, hi + 1))
-    return out
+    return [c for f in range(sum(z) // 2 + 1) for c in cells_at_height(z, f)]
 
 
 def cells_at_height(z, f):
@@ -153,22 +147,18 @@ def check_cells_match_profiles(L):
     return rep
 
 
-def check_forward_counts_via_profiles(L, n_max, count_paths=None):
+def check_forward_counts_via_profiles(L, n_max):
     """Forward-path counts from any point versus the profile/meander sum.
 
     f_n(z) must equal sum_i p_i(z) * M_n(i) for every z and every n up to
     n_max, where M_n(i) counts meanders of amplitude at most L from height i.
     """
-    from .lattice import count_paths as dp_count
-
-    if count_paths is None:
-        count_paths = dp_count
     rep = CheckReport(f"forward counts via profiles, L={L}, n<={n_max}")
     table = meander_count_table(L, n_max)
-    profs = {z: profile(z) for z in all_points(L, 2)}
+    pts = all_points(L, 2)
+    profs = [profile(z) for z in pts]
     for n in range(n_max + 1):
-        for z, pr in profs.items():
-            lhs = count_paths(L, 2, z, "F" * n)
+        for z, pr, lhs in zip(pts, profs, count_table(L, 2, "F" * n)):
             rhs = sum(pi * mi for pi, mi in zip(pr, table[n]))
             rep.checked += 1
             if lhs != rhs:

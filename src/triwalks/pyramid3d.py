@@ -26,10 +26,12 @@ argument.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
 
+from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
 from .profiles import CheckReport
 
@@ -43,49 +45,16 @@ def in_waffle(pt, L):
 
 
 def waffle_points(L):
-    return [(i, j) for i in range(L + 1) for j in range(L // 2 + 1) if in_waffle((i, j), L)]
+    return list(_waffle_graph(L)[0])
 
 
 def pyramid_points(L):
-    pts = []
-    for x1 in range(L + 1):
-        for x2 in range(L + 1 - x1):
-            for x3 in range(L + 1 - x1 - x2):
-                pts.append((x1, x2, x3, L - x1 - x2 - x3))
-    return pts
-
-
-def step_vector4(step):
-    j = abs(step)
-    v = [0, 0, 0, 0]
-    sign = 1 if step > 0 else -1
-    v[j - 1] += sign
-    v[(j - 2) % 4] -= sign
-    return tuple(v)
-
-
-def forward_neighbours4(z):
-    return {
-        j: tuple(a + b for a, b in zip(z, step_vector4(j))) for j in (1, 2, 3, 4)
-    }
+    return lattice.all_points(L, 3)
 
 
 def count_pyramid_paths(L, n, start, orientation="F"):
     """Forward (or backward) walks of length n from ``start``; exact DP."""
-    start = tuple(start)
-    counts = {z: 1 for z in pyramid_points(L)}
-    sign = 1 if orientation == "F" else -1
-    for _ in range(n):
-        new = {}
-        for z in counts:
-            tot = 0
-            for j in (1, 2, 3, 4):
-                w = tuple(a + b for a, b in zip(z, step_vector4(sign * j)))
-                if min(w) >= 0:
-                    tot += counts[w]
-            new[z] = tot
-        counts = new
-    return counts[start]
+    return lattice.count_paths(L, 3, start, orientation * n)
 
 
 def paired_start_point(L, i, j):
@@ -93,40 +62,33 @@ def paired_start_point(L, i, j):
     return (i - j, j, 0, L - i)
 
 
-def count_waffle_walks(L, n, start):
-    """Walks of length n inside the waffle from ``start`` ending on the axis."""
+@functools.lru_cache(maxsize=4)
+def _waffle_graph(L):
+    """Waffle point index and in-waffle neighbour rows (N, E, S, W)."""
+    pts = [(i, j) for i in range(L + 1) for j in range(L // 2 + 1) if in_waffle((i, j), L)]
+    return lattice.neighbour_rows(pts, CARDINAL.values())
+
+
+def _waffle_count(L, n, start, ends):
+    """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
     if not in_waffle(start, L):
         raise OutsideWaffle(f"{start} violates 0 <= j <= i <= {L} - j")
-    counts = {pt: 1 if pt[1] == 0 else 0 for pt in waffle_points(L)}
+    index, rows = _waffle_graph(L)
+    counts = [int(ends(pt)) for pt in index]
     for _ in range(n):
-        new = {}
-        for pt in counts:
-            tot = 0
-            for d in CARDINAL.values():
-                q = (pt[0] + d[0], pt[1] + d[1])
-                if in_waffle(q, L):
-                    tot += counts[q]
-            new[pt] = tot
-        counts = new
-    return counts[start]
+        counts = lattice.sweep(counts, rows)
+    return counts[index[tuple(start)]]
+
+
+def count_waffle_walks(L, n, start):
+    """Walks of length n inside the waffle from ``start`` ending on the axis."""
+    return _waffle_count(L, n, start, lambda pt: pt[1] == 0)
 
 
 def count_waffle_walks_to(L, n, start, end=(0, 0)):
     """Walks of length n inside the waffle from ``start`` to a single point."""
-    if not in_waffle(start, L):
-        raise OutsideWaffle(f"{start} violates 0 <= j <= i <= {L} - j")
-    counts = {pt: 1 if pt == tuple(end) else 0 for pt in waffle_points(L)}
-    for _ in range(n):
-        new = {}
-        for pt in counts:
-            tot = 0
-            for d in CARDINAL.values():
-                q = (pt[0] + d[0], pt[1] + d[1])
-                if in_waffle(q, L):
-                    tot += counts[q]
-            new[pt] = tot
-        counts = new
-    return counts[start]
+    end = tuple(end)
+    return _waffle_count(L, n, start, lambda pt: pt == end)
 
 
 def signed_waffle_array(L, n_max):
@@ -213,7 +175,7 @@ def _local_lists(z, target, L):
         if c is not None:
             ins.append((s, c))
     outs = []
-    for j, w in forward_neighbours4(z).items():
+    for j, w in lattice.forward_neighbours(z).items():
         if min(w) >= 0:
             c = anchor_cell(w, target)
             if c is not None:
@@ -239,7 +201,7 @@ def diamond_delta(z, cell, step):
 
 def diamond_delta_inv(z, j, cell):
     """Preimage (cell, cardinal step) of a tagged output cell."""
-    w = forward_neighbours4(z)[j]
+    w = lattice.forward_neighbours(z)[j]
     target = anchor(w, cell)
     L = sum(z)
     ins, outs = _local_lists(z, target, L)
@@ -254,7 +216,7 @@ def validate_scaffolding3d(L):
     rep = CheckReport(f"3d scaffolding valid, L={L}")
     for z in pyramid_points(L):
         targets = set()
-        for j, w in forward_neighbours4(z).items():
+        for j, w in lattice.forward_neighbours(z).items():
             if min(w) >= 0:
                 targets.update((j, c) for c in profile3d(w))
         seen = set()
@@ -262,7 +224,7 @@ def validate_scaffolding3d(L):
             for s in allowed_cardinal(z, cell, L):
                 rep.checked += 1
                 j, cell2 = diamond_delta(z, cell, s)
-                w = forward_neighbours4(z)[j]
+                w = lattice.forward_neighbours(z)[j]
                 a = anchor(z, cell)
                 d = CARDINAL[s]
                 if anchor(w, cell2) != (a[0] + d[0], a[1] + d[1]):
@@ -295,7 +257,7 @@ def waffle_to_pyramid(z_c, start_cell, walk):
         except NotAllowed as exc:
             raise InvalidWalk(str(exc)) from None
         steps.append(j)
-        z = forward_neighbours4(z)[j]
+        z = lattice.forward_neighbours(z)[j]
     return tuple(steps)
 
 
@@ -303,13 +265,13 @@ def pyramid_to_waffle(z_c, steps):
     """Inverse of ``waffle_to_pyramid``: recover (start cell, walk)."""
     z = tuple(z_c)
     for s in steps:
-        z = forward_neighbours4(z)[s]
+        z = lattice.forward_neighbours(z)[s]
         if min(z) < 0:
             raise InvalidWalk("walk leaves the pyramid")
     cell = (0, 0)
     letters = []
     for s in reversed(steps):
-        z = tuple(a - b for a, b in zip(z, step_vector4(s)))
+        z = tuple(a - b for a, b in zip(z, lattice.step_vector(s, 3)))
         cell, ch = diamond_delta_inv(z, s, cell)
         letters.append(ch)
     return cell, "".join(reversed(letters))
@@ -326,7 +288,7 @@ def enumerate_pyramid_paths(L, start, n, orientation="F"):
             out.append(tuple(acc))
             return
         for j in (1, 2, 3, 4):
-            w = tuple(a + b for a, b in zip(p, step_vector4(sign * j)))
+            w = tuple(a + b for a, b in zip(p, lattice.step_vector(sign * j, 3)))
             if min(w) >= 0:
                 acc.append(sign * j)
                 rec(w, acc)

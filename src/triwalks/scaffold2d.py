@@ -26,7 +26,7 @@ import json
 import random
 
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
-from .lattice import origin, step_vector
+from .lattice import all_points, forward_neighbours, origin, step_vector
 from .motzkin import (
     MotzkinWord,
     allowed_steps,
@@ -36,11 +36,6 @@ from .motzkin import (
 from .profiles import CheckReport, cell_representation, cells_at_height
 
 _HEIGHT_MOVE = {"U": 1, "F": 0, "D": -1}
-
-
-def forward_neighbours(z):
-    """The three candidate targets z + s_j; entries outside get no cells."""
-    return {j: tuple(a + b for a, b in zip(z, step_vector(j, 2))) for j in (1, 2, 3)}
 
 
 class Scaffolding:
@@ -157,7 +152,7 @@ class RandomScaffolding(Scaffolding):
             self.tables = tables
         else:
             rng = random.Random(seed)
-            self.tables = {z: self._build_point(z, rng) for z in _points(L)}
+            self.tables = {z: self._build_point(z, rng) for z in all_points(L, 2)}
         self.inverse = {
             z: {v: k for k, v in tab.items()} for z, tab in self.tables.items()
         }
@@ -238,12 +233,6 @@ class RandomScaffolding(Scaffolding):
     @classmethod
     def loads(cls, text):
         return cls.from_json(json.loads(text))
-
-
-def _points(L):
-    return [
-        (x1, x2, L - x1 - x2) for x1 in range(L + 1) for x2 in range(L + 1 - x1)
-    ]
 
 
 def build_random_scaffolding(L, seed):
@@ -364,7 +353,7 @@ def trapezium_delta(z, cell, step, L=None):
 def validate_scaffolding(scaf):
     """Certify a scaffolding pointwise: domain, bijectivity, height rule."""
     rep = CheckReport(f"scaffolding valid, L={scaf.L}")
-    for z in _points(scaf.L):
+    for z in all_points(scaf.L, 2):
         targets = set()
         nbs = forward_neighbours(z)
         for j in (1, 2, 3):

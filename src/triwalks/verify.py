@@ -92,10 +92,11 @@ def check_generic_ratio(max_L=4, max_n=8):
     def fn():
         checked = 0
         for L in range(max_L + 1):
+            pts = lattice.all_points(L, 2)
             for n in range(max_n + 1):
-                for z in lattice.all_points(L, 2):
-                    g = lattice.count_generic(L, 2, z, n)
-                    f = lattice.count_paths(L, 2, z, "F" * n)
+                gs = lattice.generic_table(L, 2, n)
+                fs = lattice.count_table(L, 2, "F" * n)
+                for z, g, f in zip(pts, gs, fs):
                     checked += 1
                     if g != (1 << n) * f:
                         return checked, (L, n, z, g, f), ""
@@ -105,20 +106,26 @@ def check_generic_ratio(max_L=4, max_n=8):
 
 
 def check_dv_independence(max_L=4, max_n=6, dims=(2, 3)):
-    """Walk counts per direction vector depend only on the length."""
+    """Walk counts per direction vector depend only on the length.
+
+    Compares whole tables, so each (d, L, z, dv) case is one entry of the
+    table for dv against the same entry of the table for F^n.
+    """
 
     def fn():
         checked = 0
         for d in dims:
             for L in range(max_L + 1):
-                for z in lattice.all_points(L, d):
-                    for n in range(max_n + 1):
-                        ref = lattice.count_paths(L, d, z, "F" * n)
-                        for dv in itertools.product("FB", repeat=n):
+                pts = lattice.all_points(L, d)
+                for n in range(max_n + 1):
+                    ref = lattice.count_table(L, d, "F" * n)
+                    for dv in itertools.product("FB", repeat=n):
+                        dv = "".join(dv)
+                        got = lattice.count_table(L, d, dv)
+                        for z, a, b in zip(pts, got, ref):
                             checked += 1
-                            got = lattice.count_paths(L, d, z, "".join(dv))
-                            if got != ref:
-                                return checked, (d, L, z, "".join(dv), got, ref), ""
+                            if a != b:
+                                return checked, (d, L, z, dv, a, b), ""
         return checked, None, f"d in {dims}, L<={max_L}, n<={max_n}"
 
     return _run("counts independent of direction vector", fn)
@@ -335,7 +342,7 @@ def check_trapezium(max_L=7, n_random=1000, max_len=40, seed=11):
         # case-image conditions, pointwise
         for L in range(max_L + 1):
             scaf = scaffold2d.TrapeziumScaffolding(L)
-            for z in scaffold2d._points(L):
+            for z in lattice.all_points(L, 2):
                 x1, x2, _ = z
                 for cell in profiles.cell_representation(z):
                     for ch in motzkin.allowed_steps(cell[0], L):

@@ -7,6 +7,15 @@ something that cannot share their bugs.
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # derandomized: the same examples on every run, and no example database
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")
+
 
 def brute_walks(L, d, start, n, step_set):
     """All step sequences of length n staying coordinate-wise non-negative.

@@ -140,6 +140,34 @@ def test_error_reporting(capsys):
     assert code != 0 or json.loads(out.out.strip().splitlines()[-1])["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count triangular --L 3 --start 0,0,5",
+        "count triangular --L 3 --start 1,1,1,0",
+        "count generic --L 3 --n 2 --start 0,0,5",
+        "count pyramid --L 2 --start 0,0,0,5",
+    ],
+)
+def test_off_lattice_start_is_one_error_document(capsys, argv):
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "not in the lattice" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count triangular --L 3 --dv FX",
+        "enumerate triangular --L 3 --dv FQ",
+    ],
+)
+def test_direction_vector_letters_are_checked(capsys, argv):
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "direction vector" in doc["error"]
+
+
 def test_reports_are_deterministic(capsys):
     _, _, a = run(capsys, "count", "motzkin", "--n", "5", "--amplitude", "4")
     _, _, b = run(capsys, "count", "motzkin", "--n", "5", "--amplitude", "4")

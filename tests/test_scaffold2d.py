@@ -60,7 +60,7 @@ def test_trapezium_case_conditions_pointwise():
     # the five cases into the first neighbour, five into the second, two
     # into the third, with their defining equalities
     for L in range(8):
-        for z in scaffold2d._points(L):
+        for z in lattice.all_points(L, 2):
             x1, x2, _ = z
             for f, l in profiles.cell_representation(z):
                 for ch in motzkin.allowed_steps(f, L):
@@ -86,7 +86,7 @@ def test_trapezium_rules_ignore_size():
     for L in range(6):
         big = TrapeziumScaffolding(L + 4)
         small = TrapeziumScaffolding(L)
-        for z in scaffold2d._points(L):
+        for z in lattice.all_points(L, 2):
             zbig = (z[0], z[1], z[2] + 4)
             for cell in profiles.cell_representation(z):
                 for ch in motzkin.allowed_steps(cell[0], L):
