@@ -91,7 +91,7 @@ def cmd_count(args):
         inputs = {"family": "pyramid", "L": args.L, "n": args.n,
                   "start": lattice.format_point(start), "orientation": args.orientation}
     else:  # waffle
-        start = tuple(int(t) for t in args.start.split(",")) if args.start else (0, 0)
+        start = lattice.parse_point(args.start) if args.start else (0, 0)
         value = pyramid3d.count_waffle_walks(args.L, args.n, start)
         inputs = {"family": "waffle", "L": args.L, "n": args.n,
                   "start": ",".join(map(str, start))}
@@ -216,7 +216,7 @@ def cmd_pyramid(args):
                       seconds=time.perf_counter() - t0)
         return _emit(doc, [f"coefficients: {coeffs}"])
     # map: waffle walk to pyramid walk
-    start = tuple(int(t) for t in args.cell.split(","))
+    start = lattice.parse_point(args.cell)
     path = pyramid3d.waffle_to_pyramid(lattice.origin(args.L, 3), start, args.walk)
     doc = _report("pyramid map",
                   {"L": args.L, "cell": args.cell, "walk": args.walk},

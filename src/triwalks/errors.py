@@ -65,6 +65,10 @@ class NotInImage(TriwalksError):
     """The inverse of the recursive bijection was fed a non-image value."""
 
 
+class TooLong(TriwalksError):
+    """An input is too long for the recursive bijection to follow."""
+
+
 class OutsideWaffle(TriwalksError):
     """A point violates 0 <= j <= i <= L - j."""
 

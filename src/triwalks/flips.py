@@ -16,10 +16,17 @@ Positions are 0-based: ``swap_flip(steps, i)`` acts on steps i and i + 1.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
-from .errors import EmptyPath, LengthMismatch, MixedInput, NotMixedPair
+from .errors import (
+    BadDirectionVector,
+    EmptyPath,
+    LengthMismatch,
+    MixedInput,
+    NotMixedPair,
+)
 
 
 def direction_vector(steps):
@@ -84,19 +91,40 @@ class FlipEvent:
         }
 
 
-class _Recorder:
-    def __init__(self):
-        self.events = []
+@functools.lru_cache(maxsize=8)
+def _flip_tables(d):
+    """The swap image of every mixed pair and the last-step image of every step.
 
-    def swap(self, steps, i, d):
-        before = (steps[i], steps[i + 1])
-        steps[i], steps[i + 1] = _swap_pair(steps[i], steps[i + 1], d)
-        self.events.append(FlipEvent("swap", i, before, (steps[i], steps[i + 1])))
+    Both tables are read off ``_swap_pair`` and ``_last_flip``, so the rules
+    stay written once; the transport loops below only look entries up.
+    """
+    steps = [s for k in range(1, d + 2) for s in (k, -k)]
+    swap = {(a, b): _swap_pair(a, b, d) for a in steps for b in steps if (a > 0) != (b > 0)}
+    last = {s: _last_flip(s, d) for s in steps}
+    return swap, last
 
-    def last(self, steps, d):
-        before = (steps[-1],)
-        steps[-1] = _last_flip(steps[-1], d)
-        self.events.append(FlipEvent("last", len(steps) - 1, before, (steps[-1],)))
+
+def _checked_copy(steps, d):
+    """``steps`` as a list, once every entry is known to be a step for ``d``."""
+    steps = list(steps)
+    last = _flip_tables(d)[1]
+    if not last.keys() >= set(steps):
+        bad = next(s for s in steps if s not in last)
+        raise ValueError(f"{bad} is not a step for d={d}; want 1..{d + 1} or -1..-{d + 1}")
+    return steps
+
+
+def _transport_setup(steps, target_dv, d):
+    """Shared by both schedules: a checked copy and the backward-step counts."""
+    steps = _checked_copy(steps, d)
+    n = len(steps)
+    if len(target_dv) != n:
+        raise LengthMismatch(f"direction vector {target_dv!r} for {n} steps")
+    want_b = target_dv.count("B")
+    if want_b + target_dv.count("F") != n:
+        raise BadDirectionVector(f"direction vector {target_dv!r} has letters other than F/B")
+    have_b = len([s for s in steps if s < 0])
+    return steps, n, want_b, have_b
 
 
 def transform(steps, target_dv, d=2, trace=None):
@@ -108,49 +136,59 @@ def transform(steps, target_dv, d=2, trace=None):
     place left to right with swap flips. Any other schedule reaching the
     same direction vector yields the same walk (confluence), so the choice
     only pins down the intermediate trace.
+
+    When ``trace`` is a list, one ``FlipEvent`` per flip is appended to it.
     """
-    steps = list(steps)
-    n = len(steps)
-    if len(target_dv) != n:
-        raise LengthMismatch(f"direction vector {target_dv!r} for {n} steps")
-    rec = trace if trace is not None else _Recorder()
-    want_b = sum(1 for t in target_dv if t == "B")
-    have_b = sum(1 for s in steps if s < 0)
-    while have_b != want_b:
-        convert_fwd = have_b < want_b
-        pos = max(i for i, s in enumerate(steps) if (s > 0) == convert_fwd)
+    steps, n, want_b, have_b = _transport_setup(steps, target_dv, d)
+    swap, last = _flip_tables(d)
+    # phase 1: the step being bubbled right is carried in ``c``. Every step
+    # right of its slot has the other orientation, and so does the flipped
+    # last step, so the backwards scan for the next slot resumes below it.
+    convert_fwd = have_b < want_b
+    pos = n
+    for _ in range(abs(want_b - have_b)):
+        pos -= 1
+        while (steps[pos] > 0) != convert_fwd:
+            pos -= 1
+        c = steps[pos]
         for j in range(pos, n - 1):
-            rec.swap(steps, j, d)
-        rec.last(steps, d)
-        have_b += 1 if convert_fwd else -1
+            pair = c, steps[j + 1]
+            steps[j], c = out = swap[pair]
+            if trace is not None:
+                trace.append(FlipEvent("swap", j, pair, out))
+        steps[n - 1] = last[c]
+        if trace is not None:
+            trace.append(FlipEvent("last", n - 1, (c,), (steps[n - 1],)))
+    # phase 2: carry the first step of the wanted orientation left into slot i
     for i in range(n):
         want_fwd = target_dv[i] == "F"
         if (steps[i] > 0) != want_fwd:
-            j = next(k for k in range(i + 1, n) if (steps[k] > 0) == want_fwd)
+            j = i + 1
+            while (steps[j] > 0) != want_fwd:
+                j += 1
+            c = steps[j]
             for k in range(j - 1, i - 1, -1):
-                rec.swap(steps, k, d)
+                pair = steps[k], c
+                c, steps[k + 1] = out = swap[pair]
+                if trace is not None:
+                    trace.append(FlipEvent("swap", k, pair, out))
+            steps[i] = c
     return tuple(steps)
 
 
 def transform_with_trace(steps, target_dv, d=2):
-    rec = _Recorder()
-    out = transform(steps, target_dv, d, trace=rec)
-    return out, rec.events
+    events = []
+    return transform(steps, target_dv, d, trace=events), events
 
 
 def transform_random(steps, target_dv, rng=None, seed=None, d=2):
     """Like transform, but with a randomized flip schedule (same result)."""
     if rng is None:
         rng = random.Random(seed)
-    steps = list(steps)
-    n = len(steps)
-    if len(target_dv) != n:
-        raise LengthMismatch(f"direction vector {target_dv!r} for {n} steps")
-    rec = _Recorder()
-    want_b = sum(1 for t in target_dv if t == "B")
-    have_b = sum(1 for s in steps if s < 0)
-    while have_b != want_b:
-        convert_fwd = have_b < want_b
+    steps, n, want_b, have_b = _transport_setup(steps, target_dv, d)
+    swap, last = _flip_tables(d)
+    convert_fwd = have_b < want_b
+    for _ in range(abs(want_b - have_b)):
         # push some step of the orientation to convert to the end, one random
         # legal swap at a time, then flip it there
         while (steps[-1] > 0) != convert_fwd:
@@ -159,21 +197,24 @@ def transform_random(steps, target_dv, rng=None, seed=None, d=2):
                 for i in range(n - 1)
                 if (steps[i] > 0) == convert_fwd and (steps[i + 1] > 0) != convert_fwd
             ]
-            rec.swap(steps, rng.choice(candidates), d)
-        rec.last(steps, d)
-        have_b += 1 if convert_fwd else -1
-    while direction_vector(steps) != target_dv:
-        # move a random displaced backward step one slot toward its target
+            i = rng.choice(candidates)
+            steps[i], steps[i + 1] = swap[steps[i], steps[i + 1]]
+        steps[-1] = last[steps[-1]]
+    # move a random displaced backward step one slot toward its target; some
+    # step is movable exactly while the orientations are still out of place
+    ws = [i for i, t in enumerate(target_dv) if t == "B"]
+    while True:
         bs = [i for i, s in enumerate(steps) if s < 0]
-        ws = [i for i, t in enumerate(target_dv) if t == "B"]
         candidates = []
         for b, w in zip(bs, ws):
             if b > w and steps[b - 1] > 0:
                 candidates.append(b - 1)
             elif b < w and steps[b + 1] > 0:
                 candidates.append(b)
-        rec.swap(steps, rng.choice(candidates), d)
-    return tuple(steps)
+        if not candidates:
+            return tuple(steps)
+        i = rng.choice(candidates)
+        steps[i], steps[i + 1] = swap[steps[i], steps[i + 1]]
 
 
 def algorithm1(steps, d=2):
@@ -183,14 +224,16 @@ def algorithm1(steps, d=2):
     so after n passes every orientation is reversed. Applying it twice gives
     back the input.
     """
-    steps = list(steps)
+    steps = _checked_copy(steps, d)
     n = len(steps)
     if n and len({s > 0 for s in steps}) != 1:
         raise MixedInput("algorithm1 wants an all-forward or all-backward path")
+    swap, last = _flip_tables(d)
     for i in range(n):
-        steps[-1] = _last_flip(steps[-1], d)
+        c = last[steps[-1]]
         for j in range(n - 2, i - 1, -1):
-            steps[j], steps[j + 1] = _swap_pair(steps[j], steps[j + 1], d)
+            c, steps[j + 1] = swap[steps[j], c]
+        steps[i] = c
     return tuple(steps)
 
 
@@ -232,13 +275,18 @@ def tile_id(top_forward, top_backward):
     return 3 * (top_forward - 1) + (-top_backward)
 
 
+@functools.lru_cache(maxsize=16)
 def _cells(n):
+    """Each unit tile of the square of side n: its left vertex and the edge
+    keys of its top-left, top-right, bottom-left and bottom-right sides."""
+    out = []
     for x in range(-n, n - 1):
         for y in range(-n + 1, n):
             if (x + y - n) % 2 == 0:
                 a, t, r, b = (x, y), (x + 1, y + 1), (x + 2, y), (x + 1, y - 1)
                 if all(abs(u) + abs(v) <= n for u, v in (a, t, r, b)):
-                    yield a, t, r, b
+                    out.append((a, (a, t), (t, r), (a, b), (b, r)))
+    return tuple(out)
 
 
 def tile(folded, d=2):
@@ -260,30 +308,24 @@ def tile(folded, d=2):
         edges[((x, y), nxt)] = s
         (x, y) = nxt
     assert (x, y) == (n, 0), "folded walk must end at (n, 0)"
-    cells = list(_cells(n))
-    done = set()
-    while len(done) < len(cells):
-        progress = False
-        for cell in cells:
-            a, t, r, b = cell
-            if a in done:
-                continue
-            top_known = ((a, t) in edges) and ((t, r) in edges)
-            bot_known = ((a, b) in edges) and ((b, r) in edges)
-            if top_known and not bot_known:
-                lo = _swap_pair(edges[(a, t)], edges[(t, r)], 2)
-                edges[(a, b)], edges[(b, r)] = lo
-            elif bot_known and not top_known:
-                hi = _swap_pair(edges[(a, b)], edges[(b, r)], 2)
-                edges[(a, t)], edges[(t, r)] = hi
-            elif not (top_known and bot_known):
-                continue
-            done.add(a)
-            progress = True
-        assert progress, "tiling propagation stalled"
-    tiles = {}
-    for a, t, r, b in cells:
-        tiles[a] = tile_id(edges[(a, t)], edges[(t, r)])
+    swap = _flip_tables(2)[0]
+    cells = pending = _cells(n)
+    while pending:
+        waiting = []
+        for cell in pending:
+            _, top_l, top_r, bot_l, bot_r = cell
+            top_known = top_l in edges and top_r in edges
+            bot_known = bot_l in edges and bot_r in edges
+            if top_known:
+                if not bot_known:
+                    edges[bot_l], edges[bot_r] = swap[edges[top_l], edges[top_r]]
+            elif bot_known:
+                edges[top_l], edges[top_r] = swap[edges[bot_l], edges[bot_r]]
+            else:
+                waiting.append(cell)
+        assert len(waiting) < len(pending), "tiling propagation stalled"
+        pending = waiting
+    tiles = {a: tile_id(edges[top_l], edges[top_r]) for a, top_l, top_r, _, _ in cells}
     return Tiling(n, edges, tiles)
 
 
@@ -292,10 +334,12 @@ def read_path(tiling, dv):
     n = tiling.n
     if len(dv) != n:
         raise LengthMismatch(f"direction vector {dv!r} for a square of side {n}")
-    x, y = -n, 0
+    edges = tiling.edges
+    a = (-n, 0)
     out = []
     for ch in dv:
-        nxt = (x + 1, y + 1) if ch == "F" else (x + 1, y - 1)
-        out.append(tiling.edges[((x, y), nxt)])
-        (x, y) = nxt
+        x, y = a
+        b = (x + 1, y + 1) if ch == "F" else (x + 1, y - 1)
+        out.append(edges[a, b])
+        a = b
     return tuple(out)

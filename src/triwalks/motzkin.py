@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, EmptySet, HeightOutOfRange, NotAPath
 
 UP, FLAT, DOWN = "U", "F", "D"
+_HEIGHT_MOVE = {UP: 1, FLAT: 0, DOWN: -1}
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class MotzkinWord:
             raise NotAPath("negative start height")
         h = self.start_height
         for ch in self.steps:
-            h += {"U": 1, "F": 0, "D": -1}[ch]
+            h += _HEIGHT_MOVE[ch]
             if h < 0:
                 raise NotAPath(f"{self.steps!r} dips below height 0")
         if h != 0:
@@ -52,7 +53,7 @@ class MotzkinWord:
         """Heights after 0, 1, ..., n steps."""
         hs = [self.start_height]
         for ch in self.steps:
-            hs.append(hs[-1] + {"U": 1, "F": 0, "D": -1}[ch])
+            hs.append(hs[-1] + _HEIGHT_MOVE[ch])
         return hs
 
     @property
@@ -178,7 +179,7 @@ def enumerate_meanders(n, L, i=0, cap=1_000_000):
             return  # cannot come back down to 0 in time
         for ch in allowed_steps(h, L):
             acc.append(ch)
-            rec(h + {"U": 1, "F": 0, "D": -1}[ch], acc)
+            rec(h + _HEIGHT_MOVE[ch], acc)
             acc.pop()
 
     rec(i, [])
@@ -192,6 +193,9 @@ def uniform_sample(n, L, seed=None, rng=None, start_height=0):
     proportional to the number of completions, using the big-integer count
     table, so no rejection is ever needed.
     """
+    H = L // 2
+    if not 0 <= start_height <= H:
+        raise HeightOutOfRange(f"start height {start_height} not in 0..{H} for L={L}")
     if rng is None:
         rng = random.Random(seed)
     table = meander_count_table(L, n)
@@ -202,7 +206,7 @@ def uniform_sample(n, L, seed=None, rng=None, start_height=0):
     for m in range(n, 0, -1):
         weights = []
         for ch in allowed_steps(h, L):
-            h2 = h + {"U": 1, "F": 0, "D": -1}[ch]
+            h2 = h + _HEIGHT_MOVE[ch]
             weights.append((ch, h2, table[m - 1][h2]))
         pick = rng.randrange(sum(w for _, _, w in weights))
         for ch, h2, w in weights:

@@ -24,11 +24,12 @@ side the parity of L dictates. Every arrow is reversible, which is what
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .errors import HeightOutOfRange, NotInImage
+from .errors import HeightOutOfRange, NotInImage, TooLong
 from .flips import transform
-from .motzkin import MotzkinWord, fits_amplitude
+from .motzkin import _HEIGHT_MOVE, MotzkinWord, fits_amplitude
 from .lattice import validate_path
 
 S1, S2, SB1, SB3 = 1, 2, -1, -3
@@ -119,7 +120,7 @@ def omega_inverse(L, k, image, stats=None):
             if k != 0:
                 raise NotInImage("empty meander only arises at k = 0")
             return ()
-        head, rest = word.steps[0], MotzkinWord(word.steps[1:], k + {"U": 1, "F": 0, "D": -1}[word.steps[0]])
+        head, rest = word.steps[0], MotzkinWord(word.steps[1:], k + _HEIGHT_MOVE[word.steps[0]])
         if k < H:
             if head == "U":
                 tail = omega_inverse(L, k + 1, OmegaImage(meander=rest), stats)
@@ -173,9 +174,18 @@ def omega_inverse(L, k, image, stats=None):
     return (S1,) + tuple(reflect(transform(rho, "B" * len(rho))))
 
 
+def _too_long(n):
+    return TooLong(f"omega recurses once per letter; {n} letters exceed "
+                   f"the recursion limit ({sys.getrecursionlimit()})")
+
+
 def forward_to_motzkin_exp(L, steps, stats=None):
     """The k = 0 case: forward walks from the origin to bounded Motzkin paths."""
-    img = omega(L, 0, tuple(steps), stats)
+    steps = tuple(steps)
+    try:
+        img = omega(L, 0, steps, stats)
+    except RecursionError:
+        raise _too_long(len(steps)) from None
     if not img.is_meander:
         raise NotInImage("a forward walk from the origin always maps to a meander")
     return img.meander
@@ -184,4 +194,7 @@ def forward_to_motzkin_exp(L, steps, stats=None):
 def motzkin_to_forward_exp(L, word, stats=None):
     if isinstance(word, str):
         word = MotzkinWord(word)
-    return omega_inverse(L, 0, OmegaImage(meander=word), stats)
+    try:
+        return omega_inverse(L, 0, OmegaImage(meander=word), stats)
+    except RecursionError:
+        raise _too_long(len(word)) from None

@@ -44,6 +44,13 @@ def in_waffle(pt, L):
     return 0 <= j <= i <= L - j
 
 
+def _check_waffle_point(pt, L):
+    if len(pt) != 2:
+        raise OutsideWaffle(f"{pt} is not a waffle point: want two coordinates (i, j)")
+    if not in_waffle(pt, L):
+        raise OutsideWaffle(f"{pt} is not a waffle point: it violates 0 <= j <= i <= {L} - j")
+
+
 def waffle_points(L):
     return list(_waffle_graph(L)[0])
 
@@ -71,8 +78,7 @@ def _waffle_graph(L):
 
 def _waffle_count(L, n, start, ends):
     """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
-    if not in_waffle(start, L):
-        raise OutsideWaffle(f"{start} violates 0 <= j <= i <= {L} - j")
+    _check_waffle_point(start, L)
     index, rows = _waffle_graph(L)
     counts = [int(ends(pt)) for pt in index]
     for _ in range(n):
@@ -320,7 +326,7 @@ def enumerate_waffle_walks(L, start, n, end_on_axis=True):
 
 # -- closed-form generating function and the reflection principle -------------
 
-def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=40):
+def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
     """Taylor coefficients of the corner-walk generating function.
 
     The closed form is a finite sum of geometric terms: with M = L + 4 and
@@ -331,8 +337,12 @@ def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=40):
 
     so the n-th coefficient is the same sum with (c_j + c_k)^n in place of
     the geometric factor. Evaluated in high-precision arithmetic; every
-    coefficient must round to an integer within ``tolerance``.
+    coefficient must round to an integer within ``tolerance``. Since
+    |c_j + c_k| < 4, the terms stay below 4^N times a constant, so the
+    default working precision is N log10(4) digits plus 20 guard digits.
     """
+    if dps is None:
+        dps = math.ceil(N * math.log10(4)) + 20
     M = L + 4
     with mpmath.workdps(dps):
         theta = mpmath.pi / M
@@ -343,12 +353,14 @@ def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=40):
                 ck = 2 * mpmath.cos(k * theta)
                 terms.append(((ck - cj) ** 2 * (2 + cj) * (2 + ck), cj + ck))
         coeffs = []
+        summands = [w for w, _ in terms]  # w * lam^n, advanced one n at a time
         for n in range(N + 1):
-            s = mpmath.fsum(w * lam**n for w, lam in terms) / M**2
+            s = mpmath.fsum(summands) / M**2
             r = mpmath.nint(s)
             if abs(s - r) >= tolerance:
                 raise PrecisionLoss(f"coefficient {n} off by {abs(s - r)}")
             coeffs.append(int(r))
+            summands = [x * lam for x, (_, lam) in zip(summands, terms)]
     return coeffs
 
 
@@ -394,8 +406,7 @@ def reflection_count(L, n, start):
     four counted positively and four negatively, into a doubled square
     lattice of period 2L + 8.
     """
-    if not in_waffle(start, L):
-        raise OutsideWaffle(f"{start} violates 0 <= j <= i <= {L} - j")
+    _check_waffle_point(start, L)
     x, y = start
     pos = sum(_free_walks_to_lattice(L, n, x + dx, y + dy) for dx, dy in _POS_SHIFTS)
     neg = sum(_free_walks_to_lattice(L, n, x + dx, y + dy) for dx, dy in _NEG_SHIFTS)

@@ -28,14 +28,13 @@ import random
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
 from .lattice import all_points, forward_neighbours, origin, step_vector
 from .motzkin import (
+    _HEIGHT_MOVE,
     MotzkinWord,
     allowed_steps,
     meander_count_table,
     uniform_sample,
 )
 from .profiles import CheckReport, cell_representation, cells_at_height
-
-_HEIGHT_MOVE = {"U": 1, "F": 0, "D": -1}
 
 
 class Scaffolding:

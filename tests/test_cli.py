@@ -168,6 +168,45 @@ def test_direction_vector_letters_are_checked(capsys, argv):
     assert doc["ok"] is False and "direction vector" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count waffle --L 4 --n 2 --start 0,0,1",
+        "count waffle --L 4 --n 2 --start 1",
+        "count waffle --L 4 --n 2 --start 3,2",
+    ],
+)
+def test_waffle_start_is_checked(capsys, argv):
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "is not a waffle point" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--method", "omega", "--direction", "m2t", "--L", "1201", "U" * 600 + "D" * 600],
+        ["map", "--method", "omega", "--direction", "t2m", "--L", "2401", " ".join(["s1"] * 1200)],
+    ],
+)
+def test_omega_past_the_recursion_limit_is_one_error_document(capsys, argv):
+    code, human, doc = run(capsys, *argv)
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "recursion limit" in doc["error"]
+
+
+def test_omega_rejects_steps_outside_the_triangle(capsys):
+    code, human, doc = run(capsys, "map", "--method", "omega", "--direction", "t2m",
+                           "--L", "3", "s2 s7")
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "is not a step" in doc["error"]
+
+
+def test_gf_precision_follows_the_number_of_terms(capsys):
+    code, _, doc = run(capsys, "gf", "--L", "10", "--terms", "100")
+    assert code == 0 and len(doc["outputs"]["coefficients"]) == 101
+
+
 def test_reports_are_deterministic(capsys):
     _, _, a = run(capsys, "count", "motzkin", "--n", "5", "--amplitude", "4")
     _, _, b = run(capsys, "count", "motzkin", "--n", "5", "--amplitude", "4")

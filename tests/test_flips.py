@@ -4,7 +4,13 @@ import random
 import pytest
 
 from triwalks import flips, lattice
-from triwalks.errors import EmptyPath, LengthMismatch, MixedInput, NotMixedPair
+from triwalks.errors import (
+    BadDirectionVector,
+    EmptyPath,
+    LengthMismatch,
+    MixedInput,
+    NotMixedPair,
+)
 
 from conftest import brute_generic
 
@@ -110,6 +116,36 @@ def test_transform_trace_replays():
             cur[i] = flips.last_step_flip(tuple(cur))[i]
         assert tuple(cur[i : i + len(doc["after"])]) == tuple(doc["after"])
     assert tuple(cur) == q
+
+
+def test_transform_trace_paper_example_events():
+    # one last-step flip, then the new forward step is carried left to slot 0
+    q, events = flips.transform_with_trace((-3, -3, -2), "FBB")
+    assert q == (1, -3, -1)
+    assert events == [
+        flips.FlipEvent("last", 2, (-2,), (3,)),
+        flips.FlipEvent("swap", 1, (-3, 3), (1, -1)),
+        flips.FlipEvent("swap", 0, (-3, 1), (1, -3)),
+    ]
+    assert flips.transform_with_trace((1, 2, 1), "FFF") == ((1, 2, 1), [])
+
+
+def test_transform_rejects_bad_direction_vector_letters():
+    with pytest.raises(BadDirectionVector):
+        flips.transform((1, 2), "FX")
+    with pytest.raises(BadDirectionVector):
+        flips.transform_random((1, 2), "XB", seed=0)
+
+
+def test_transport_rejects_steps_outside_the_dimension():
+    for bad in ((1, 4), (0,), (-4, 1)):
+        with pytest.raises(ValueError, match="is not a step"):
+            flips.transform(bad, "F" * len(bad))
+        with pytest.raises(ValueError, match="is not a step"):
+            flips.transform_random(bad, "F" * len(bad), seed=0)
+    with pytest.raises(ValueError, match="is not a step"):
+        flips.algorithm1((1, 4))
+    assert flips.transform((1, 4), "FF", d=3) == (1, 4)
 
 
 def test_algorithm1():

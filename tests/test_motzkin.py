@@ -124,6 +124,15 @@ def test_uniform_sample_support_and_determinism():
         motzkin.uniform_sample(1, 0, seed=0)
 
 
+def test_uniform_sample_start_height_range():
+    # L = 5 allows heights 0..2; both ends are usable, anything outside is not
+    assert motzkin.uniform_sample(6, 5, seed=1, start_height=0).start_height == 0
+    assert motzkin.uniform_sample(6, 5, seed=1, start_height=2).start_height == 2
+    for h in (-1, -3, 3, 10):
+        with pytest.raises(HeightOutOfRange):
+            motzkin.uniform_sample(6, 5, seed=1, start_height=h)
+
+
 def test_uniform_sample_is_exactly_uniform():
     # distribution check at modest size; the chi-square version lives in
     # the acceptance suite

@@ -8,9 +8,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from triwalks import lattice  # noqa: E402
+from triwalks import flips, lattice  # noqa: E402
 
 
 @given(
@@ -20,3 +20,63 @@ from triwalks import lattice  # noqa: E402
 )
 def test_count_table_independent_of_direction_vector(d, L, dv):
     assert lattice.count_table(L, d, dv) == lattice.count_table(L, d, "F" * len(dv))
+
+
+@st.composite
+def walks(draw, min_size=50, max_size=500):
+    """(d, L, start, walk, target dv): a valid walk of the given length range,
+    each step picked among the steps that stay in the lattice, and a target
+    direction vector of the same length."""
+    d = draw(st.sampled_from((2, 3)))
+    L = draw(st.integers(1, 12))
+    n = draw(st.integers(min_size, max_size))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    start = lattice.origin(L, d)
+    steps = [s for k in range(1, d + 2) for s in (k, -k)]
+    point, walk = start, []
+    for pick in picks:
+        options = []
+        for s in steps:
+            nxt = tuple(a + b for a, b in zip(point, lattice.step_vector(s, d)))
+            if min(nxt) >= 0:
+                options.append((s, nxt))
+        s, point = options[pick % len(options)]
+        walk.append(s)
+    target = draw(st.text(alphabet="FB", min_size=len(walk), max_size=len(walk)))
+    return d, L, start, tuple(walk), target
+
+
+@settings(max_examples=30)
+@given(walks())
+def test_transport_round_trip_and_validity(case):
+    d, L, start, walk, target = case
+    image = flips.transform(walk, target, d)
+    assert flips.direction_vector(image) == target
+    lattice.validate_path(L, d, start, image)
+    assert flips.transform(image, flips.direction_vector(walk), d) == walk
+
+
+@settings(max_examples=10)
+@given(walks(), st.integers(0, 2**32))
+def test_random_schedule_agrees_with_transform(case, seed):
+    d, _, _, walk, target = case
+    assert flips.transform_random(walk, target, seed=seed, d=d) == flips.transform(walk, target, d)
+
+
+@settings(max_examples=30)
+@given(walks())
+def test_trace_replays_to_transform(case):
+    d, _, _, walk, target = case
+    image, events = flips.transform_with_trace(walk, target, d)
+    assert image == flips.transform(walk, target, d)
+    cur = list(walk)
+    for ev in events:
+        i = ev.position
+        assert tuple(cur[i : i + len(ev.before)]) == ev.before
+        if ev.kind == "swap":
+            cur[i : i + 2] = flips.swap_flip(cur[i : i + 2], 0, d)
+        else:
+            assert i == len(cur) - 1
+            cur[i:] = flips.last_step_flip(cur[i:], d)
+        assert tuple(cur[i : i + len(ev.after)]) == ev.after
+    assert tuple(cur) == image

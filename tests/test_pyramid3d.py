@@ -185,6 +185,20 @@ def test_gf_coefficients():
         pyramid3d.pyramid_gf_coefficients(3, 12, tolerance=1e-12, dps=3)
 
 
+def test_gf_matches_reflection_past_the_fixed_precision():
+    # 150 terms need about 110 digits; every coefficient is an exact integer
+    coeffs = pyramid3d.pyramid_gf_coefficients(12, 150)
+    assert coeffs == [pyramid3d.corner_count_by_reflection(12, n) for n in range(151)]
+
+
+def test_waffle_points_are_checked():
+    for start in ((0, 0, 1), (1,), (3, 2), (-1, 0)):
+        with pytest.raises(OutsideWaffle):
+            pyramid3d.count_waffle_walks(4, 2, start)
+        with pytest.raises(OutsideWaffle):
+            pyramid3d.reflection_count(4, 2, start)
+
+
 def test_free_walk_count():
     assert pyramid3d.free_walk_count(0, 0, 0) == 1
     assert pyramid3d.free_walk_count(1, 1, 0) == 1
