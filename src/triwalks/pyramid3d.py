@@ -45,10 +45,8 @@ def in_waffle(pt, L):
 
 
 def _check_waffle_point(pt, L):
-    if len(pt) != 2:
-        raise OutsideWaffle(f"{pt} is not a waffle point: want two coordinates (i, j)")
-    if not in_waffle(pt, L):
-        raise OutsideWaffle(f"{pt} is not a waffle point: it violates 0 <= j <= i <= {L} - j")
+    if len(pt) != 2 or not in_waffle(pt, L):
+        raise OutsideWaffle(f"{pt} is not a waffle point (i, j) with 0 <= j <= i <= {L} - j")
 
 
 def waffle_points(L):
