@@ -61,6 +61,18 @@ def _scaffolding_from_flag(flag, L):
     raise UsageError(f"--scaffolding wants 'trapezium' or 'random:<seed>', got {flag!r}")
 
 
+def _load_scaffolding(path):
+    """The scaffolding saved in ``path``; UsageError if unreadable or malformed."""
+    try:
+        text = pathlib.Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read the scaffolding file: {exc}") from None
+    try:
+        return scaffold2d.RandomScaffolding.loads(text)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a scaffolding file: {exc!r}") from None
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_count(args):
@@ -73,6 +85,8 @@ def cmd_count(args):
             inputs["start_height"] = args.start_height
     elif args.family == "triangular":
         start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, args.d)
+        if args.n < 0:
+            raise ValueError(f"need n >= 0, got n={args.n}")
         dv = args.dv if args.dv else "F" * args.n
         value = lattice.count_paths(args.L, args.d, start, dv)
         inputs = {"family": "triangular", "L": args.L, "d": args.d,
@@ -138,9 +152,7 @@ def cmd_map(args):
             human = f"path: {lattice.format_steps(path)}"
     else:
         if args.scaffolding_file:
-            scaf = scaffold2d.RandomScaffolding.loads(
-                pathlib.Path(args.scaffolding_file).read_text()
-            )
+            scaf = _load_scaffolding(args.scaffolding_file)
             if scaf.L != args.L:
                 raise UsageError(f"scaffolding file is for L={scaf.L}, not {args.L}")
         else:
@@ -193,10 +205,10 @@ def cmd_profile(args):
     return _emit(doc, [f"profile {list(prof)}", f"cells {cells}"])
 
 
-def cmd_gf(args):
+def cmd_gf(args, command="gf"):
     t0 = time.perf_counter()
     coeffs = pyramid3d.pyramid_gf_coefficients(args.L, args.terms)
-    doc = _report("gf", {"L": args.L, "terms": args.terms},
+    doc = _report(command, {"L": args.L, "terms": args.terms},
                   {"coefficients": [str(c) for c in coeffs]},
                   seconds=time.perf_counter() - t0)
     return _emit(doc, [f"coefficients: {coeffs}"])
@@ -210,11 +222,7 @@ def cmd_pyramid(args):
                       {"count": str(value)}, seconds=time.perf_counter() - t0)
         return _emit(doc, [f"count = {value}"])
     if args.action == "gf":
-        coeffs = pyramid3d.pyramid_gf_coefficients(args.L, args.terms)
-        doc = _report("pyramid gf", {"L": args.L, "terms": args.terms},
-                      {"coefficients": [str(c) for c in coeffs]},
-                      seconds=time.perf_counter() - t0)
-        return _emit(doc, [f"coefficients: {coeffs}"])
+        return cmd_gf(args, "pyramid gf")
     # map: waffle walk to pyramid walk
     start = lattice.parse_point(args.cell)
     path = pyramid3d.waffle_to_pyramid(lattice.origin(args.L, 3), start, args.walk)
@@ -228,10 +236,13 @@ def cmd_pyramid(args):
 def cmd_scaffolding(args):
     t0 = time.perf_counter()
     scaf = scaffold2d.RandomScaffolding(args.L, args.seed)
-    out = pathlib.Path(args.out) if args.out else _outpath(
-        f"scaffolding_L{args.L}_seed{args.seed}.json"
-    )
-    out.write_text(scaf.dumps())
+    try:
+        out = pathlib.Path(args.out) if args.out else _outpath(
+            f"scaffolding_L{args.L}_seed{args.seed}.json"
+        )
+        out.write_text(scaf.dumps())
+    except OSError as exc:
+        raise UsageError(f"cannot write the scaffolding: {exc}") from None
     doc = _report("scaffolding", {"L": args.L, "seed": args.seed},
                   {"file": str(out), "points": len(scaf.tables)},
                   seconds=time.perf_counter() - t0)
@@ -241,9 +252,7 @@ def cmd_scaffolding(args):
 def cmd_verify(args):
     t0 = time.perf_counter()
     if args.scaffolding_file:
-        scaf = scaffold2d.RandomScaffolding.loads(
-            pathlib.Path(args.scaffolding_file).read_text()
-        )
+        scaf = _load_scaffolding(args.scaffolding_file)
         rep = scaffold2d.validate_scaffolding(scaf)
         doc = _report("verify", {"scaffolding_file": args.scaffolding_file},
                       {"checked": rep.checked,

@@ -175,6 +175,8 @@ def count_table(L, d, dv):
 
 def generic_table(L, d, n):
     """Length-n walk counts over both step families, from every point."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     return _table(L, d, "G" * n)
 
 

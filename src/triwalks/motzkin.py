@@ -163,6 +163,8 @@ def count_paths_by_amplitude(n, L):
 
 def enumerate_meanders(n, L, i=0, cap=1_000_000):
     """All meanders, lexicographic with U < F < D (enumeration oracle)."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     H = L // 2
     if not 0 <= i <= H:
         raise HeightOutOfRange(f"start height {i} not in 0..{H} for L={L}")

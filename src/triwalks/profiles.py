@@ -63,10 +63,14 @@ def cell_representation(z):
     return [c for f in range(sum(z) // 2 + 1) for c in cells_at_height(z, f)]
 
 
-def cells_at_height(z, f):
+def cell_bounds(z, f):
+    """The range lo..hi of indices l of the cells (f, l) of z; empty if lo > hi."""
     x1, x2, x3 = z
-    lo = max(0, f - x3)
-    hi = min(f, x1, x2, x1 + x2 - f)
+    return max(0, f - x3), min(f, x1, x2, x1 + x2 - f)
+
+
+def cells_at_height(z, f):
+    lo, hi = cell_bounds(z, f)
     return [(f, l) for l in range(lo, hi + 1)]
 
 
@@ -78,20 +82,48 @@ def floor_sizes(cells, H):
 
 
 @dataclass
-class CheckReport:
-    """Outcome of an exhaustive identity check."""
+class CheckResult:
+    """Outcome of a check: a name, the cases examined and the violations found.
+
+    The certificates in this package collect every violation; the checks in
+    ``verify`` stop at the first one. ``seconds`` is set by ``verify.run_suite``.
+    """
 
     name: str
     checked: int = 0
     violations: list = field(default_factory=list)
+    detail: str = ""
+    seconds: float | None = None
 
     @property
     def ok(self):
         return not self.violations
 
+    @property
+    def counterexample(self):
+        """The first violation, or None."""
+        return self.violations[0] if self.violations else None
+
+    def fail(self, counterexample, detail=""):
+        """Record the counterexample that stops a check; ``detail`` gives the reason."""
+        self.violations.append(counterexample)
+        self.detail = detail
+        return self
+
     def summary(self):
         state = "ok" if self.ok else f"{len(self.violations)} violations"
         return f"{self.name}: {self.checked} checks, {state}"
+
+    def to_json(self):
+        doc = {
+            "name": self.name,
+            "ok": self.ok,
+            "checked": self.checked,
+            "detail": self.detail,
+        }
+        if self.violations:
+            doc["counterexample"] = repr(self.counterexample)
+        return doc
 
 
 def check_profile_identities(L):
@@ -104,7 +136,7 @@ def check_profile_identities(L):
     rests on x^{L+1} Pol(1/x) = -Pol(x), i.e. p_{L+1-j} = -p_j, which is
     checked here as well.
     """
-    rep = CheckReport(f"profile identities, L={L}")
+    rep = CheckResult(f"profile identities, L={L}")
     H = L // 2
     for z in all_points(L, 2):
         polys = []
@@ -138,7 +170,7 @@ def check_profile_identities(L):
 
 def check_cells_match_profiles(L):
     """Floor sizes of the closed-form cells must equal the profile, everywhere."""
-    rep = CheckReport(f"cells realize profiles, L={L}")
+    rep = CheckResult(f"cells realize profiles, L={L}")
     H = L // 2
     for z in all_points(L, 2):
         rep.checked += 1
@@ -153,7 +185,7 @@ def check_forward_counts_via_profiles(L, n_max):
     f_n(z) must equal sum_i p_i(z) * M_n(i) for every z and every n up to
     n_max, where M_n(i) counts meanders of amplitude at most L from height i.
     """
-    rep = CheckReport(f"forward counts via profiles, L={L}, n<={n_max}")
+    rep = CheckResult(f"forward counts via profiles, L={L}, n<={n_max}")
     table = meander_count_table(L, n_max)
     pts = all_points(L, 2)
     profs = [profile(z) for z in pts]

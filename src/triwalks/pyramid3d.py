@@ -33,7 +33,7 @@ import mpmath
 
 from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
-from .profiles import CheckReport
+from .profiles import CheckResult
 
 CARDINAL = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 CARDINAL_ORDER = ("N", "E", "S", "W")
@@ -59,6 +59,8 @@ def pyramid_points(L):
 
 def count_pyramid_paths(L, n, start, orientation="F"):
     """Forward (or backward) walks of length n from ``start``; exact DP."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     return lattice.count_paths(L, 3, start, orientation * n)
 
 
@@ -76,6 +78,8 @@ def _waffle_graph(L):
 
 def _waffle_count(L, n, start, ends):
     """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     _check_waffle_point(start, L)
     index, rows = _waffle_graph(L)
     counts = [int(ends(pt)) for pt in index]
@@ -217,7 +221,7 @@ def diamond_delta_inv(z, j, cell):
 
 def validate_scaffolding3d(L):
     """Pointwise certificate: bijectivity and anchor tracking everywhere."""
-    rep = CheckReport(f"3d scaffolding valid, L={L}")
+    rep = CheckResult(f"3d scaffolding valid, L={L}")
     for z in pyramid_points(L):
         targets = set()
         for j, w in lattice.forward_neighbours(z).items():
@@ -284,22 +288,8 @@ def pyramid_to_waffle(z_c, steps):
 # -- enumeration oracles ------------------------------------------------------
 
 def enumerate_pyramid_paths(L, start, n, orientation="F"):
-    sign = 1 if orientation == "F" else -1
-    out = []
-
-    def rec(p, acc):
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        for j in (1, 2, 3, 4):
-            w = tuple(a + b for a, b in zip(p, lattice.step_vector(sign * j, 3)))
-            if min(w) >= 0:
-                acc.append(sign * j)
-                rec(w, acc)
-                acc.pop()
-
-    rec(tuple(start), [])
-    return out
+    """All forward (or backward) walks of length n from ``start``."""
+    return lattice.enumerate_paths(L, 3, start, orientation * n)
 
 
 def enumerate_waffle_walks(L, start, n, end_on_axis=True):
@@ -339,6 +329,8 @@ def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
     |c_j + c_k| < 4, the terms stay below 4^N times a constant, so the
     default working precision is N log10(4) digits plus 20 guard digits.
     """
+    if N < 0 or L < 0:
+        raise ValueError(f"need N, L >= 0, got N={N}, L={L}")
     if dps is None:
         dps = math.ceil(N * math.log10(4)) + 20
     M = L + 4

@@ -34,7 +34,7 @@ from .motzkin import (
     meander_count_table,
     uniform_sample,
 )
-from .profiles import CheckReport, cell_representation, cells_at_height
+from .profiles import CheckResult, cell_bounds, cell_representation, cells_at_height
 
 
 class Scaffolding:
@@ -144,6 +144,8 @@ class RandomScaffolding(Scaffolding):
     """Materialized tables chosen uniformly at random per height class."""
 
     def __init__(self, L, seed=None, tables=None):
+        if L < 0:
+            raise ValueError(f"need L >= 0, got L={L}")
         super().__init__()
         self.L = L
         self.seed = seed
@@ -300,8 +302,8 @@ class TrapeziumScaffolding(Scaffolding):
 
     def _check_domain(self, z, cell, step):
         f, l = cell
-        x1, x2, x3 = z
-        if not (max(0, f - x3) <= l <= min(f, x1, x2, x1 + x2 - f)):
+        lo, hi = cell_bounds(z, f)
+        if not lo <= l <= hi:
             raise NotAllowed(f"cell {cell} not in C({z})")
         if step not in allowed_steps(f, self.L):
             raise NotAllowed(f"step {step} not allowed at height {f} for L={self.L}")
@@ -351,7 +353,7 @@ def trapezium_delta(z, cell, step, L=None):
 
 def validate_scaffolding(scaf):
     """Certify a scaffolding pointwise: domain, bijectivity, height rule."""
-    rep = CheckReport(f"scaffolding valid, L={scaf.L}")
+    rep = CheckResult(f"scaffolding valid, L={scaf.L}")
     for z in all_points(scaf.L, 2):
         targets = set()
         nbs = forward_neighbours(z)

@@ -260,3 +260,54 @@ def test_verify_rejects_corrupted_scaffolding(tmp_path, capsys):
     code, human, rep = run(capsys, "verify", "--scaffolding-file", str(bad))
     assert code != 0 and rep["ok"] is False
     assert rep["outputs"]["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--L", "3", "--scaffolding-file", "{missing}", "UFD"],
+        ["verify", "--scaffolding-file", "{missing}"],
+        ["map", "--L", "3", "--scaffolding-file", "{bad}", "UFD"],
+        ["verify", "--scaffolding-file", "{bad}"],
+        ["scaffolding", "--L", "3", "--seed", "1", "--out", "{missing_dir}"],
+    ],
+    ids=["map-missing", "verify-missing", "map-no-tables", "verify-no-tables", "out-missing-dir"],
+)
+def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bad": 1}')
+    paths = {"missing": tmp_path / "nonexistent.json", "bad": bad,
+             "missing_dir": tmp_path / "nonexistent" / "x.json"}
+    argv = [a.format(**paths) for a in argv]
+    code, human, doc = run(capsys, *argv)
+    assert code == 2 and human == []
+    assert doc["ok"] is False and "scaffolding" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count generic --L 3 --n -2",
+        "count pyramid --L 2 --n -3",
+        "count waffle --L 2 --n -1",
+        "count triangular --L 3 --n -2",
+        "gf --L -1 --terms 3",
+        "gf --L 3 --terms -1",
+        "pyramid gf --L 3 --terms -1",
+        "enumerate motzkin --n -1 --amplitude 3",
+        "scaffolding --L -1 --seed 1",
+    ],
+)
+def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == []
+    assert doc["ok"] is False and ">= 0" in doc["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_both_gf_commands_share_one_handler(capsys):
+    _, _, a = run(capsys, "gf", "--L", "4", "--terms", "12")
+    _, _, b = run(capsys, "pyramid", "gf", "--L", "4", "--terms", "12")
+    assert (a["command"], b["command"]) == ("gf", "pyramid gf")
+    assert a["inputs"] == b["inputs"] and a["outputs"] == b["outputs"]

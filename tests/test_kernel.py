@@ -1,9 +1,14 @@
 """The indexed counting kernel: whole tables, thin callers, grids, large sizes."""
 
+import json
+import pathlib
+
 import pytest
 
 from triwalks import lattice, motzkin, pyramid3d, verify
 from triwalks.errors import BadDirectionVector, OutOfLattice, TriwalksError
+
+FLOORS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "verify_floors.json"
 
 
 def test_count_table_is_indexed_like_all_points():
@@ -28,15 +33,13 @@ def test_pyramid_points_follow_all_points():
 
 
 def test_verify_grids_keep_their_sizes():
-    # the whole-table rewrite must cover exactly the same cases as before
-    for check, size in (
-        (verify.check_dv_independence, 13335),
-        (verify.check_generic_ratio, 315),
-        (verify.check_counts_via_profiles, 495),
-    ):
-        result = check()
+    # every default grid covers exactly the cases recorded with the benchmark
+    sizes = json.loads(FLOORS.read_text())["checked"]
+    assert sorted(sizes) == sorted(fn.__name__ for fns in verify.SUITES.values() for fn in fns)
+    for name, size in sizes.items():
+        result = getattr(verify, name)()
         assert result.ok, (result.name, result.counterexample)
-        assert result.checked == size, result.name
+        assert result.checked == size, name
 
 
 @pytest.mark.parametrize(
