@@ -280,7 +280,6 @@ def cmd_verify(args):
 # this table stays total over the public API
 OPERATION_COVERAGE = {
     "lattice.origin": "count triangular",
-    "lattice.apply_step": "enumerate triangular",
     "lattice.validate_path": "map",
     "lattice.count_paths": "count triangular",
     "lattice.count_generic": "count generic",
@@ -323,8 +322,16 @@ OPERATION_COVERAGE = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad command line, so that ``main`` reports it
+    as one JSON error document; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="triwalks", description=__doc__)
+    ap = _Parser(prog="triwalks", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="exact counts of walks and words")
@@ -413,16 +420,16 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
+    args = None
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help; a bad command line raises UsageError instead
+        return exc.code if isinstance(exc.code, int) else 2
     except (TriwalksError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.cmd, "ok": False, "error": str(exc)}))
+        command = args.cmd if args else None
+        print(json.dumps({"command": command, "ok": False, "error": str(exc)}))
         return 2 if isinstance(exc, UsageError) else 1
 
 

@@ -266,10 +266,6 @@ class Tiling:
         x, y = left
         return (self.edges[((x, y), (x + 1, y + 1))], self.edges[((x + 1, y + 1), (x + 2, y))])
 
-    def bottom_pair(self, left):
-        x, y = left
-        return (self.edges[((x, y), (x + 1, y - 1))], self.edges[((x + 1, y - 1), (x + 2, y))])
-
 
 def tile_id(top_forward, top_backward):
     return 3 * (top_forward - 1) + (-top_backward)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import add
 
 from .errors import BadDirectionVector, CapExceeded, OutOfLattice
@@ -34,6 +33,7 @@ def origin(L, d=2):
     return (0,) * d + (L,)
 
 
+@functools.lru_cache(maxsize=64)
 def step_vector(step, d=2):
     """Displacement of a signed step in the (d+1)-coordinate representation."""
     j = abs(step)
@@ -46,44 +46,18 @@ def step_vector(step, d=2):
     return tuple(v)
 
 
+def move(z, step):
+    """The point ``z`` moved by ``step``; it may leave the lattice.
+
+    The one place where a step moves a point: a backward move is
+    ``move(z, -step)``, and a step index out of range raises ValueError.
+    """
+    return tuple(map(add, z, step_vector(step, len(z) - 1)))
+
+
 def forward_neighbours(z):
     """The candidate targets z + s_j, keyed by j; some may leave the lattice."""
-    d = len(z) - 1
-    return {j: tuple(map(add, z, step_vector(j, d))) for j in range(1, d + 2)}
-
-
-def apply_step(point, step):
-    """Move ``point`` by ``step``; raises OutOfLattice on a negative coordinate."""
-    d = len(point) - 1
-    q = tuple(a + b for a, b in zip(point, step_vector(step, d)))
-    if min(q) < 0:
-        raise OutOfLattice(f"{point} + step {step} leaves the lattice")
-    return q
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A validated walk: side length, dimension, start point and signed steps."""
-
-    L: int
-    d: int
-    start: tuple
-    steps: tuple
-
-    def __post_init__(self):
-        if sum(self.start) != self.L or min(self.start) < 0:
-            raise OutOfLattice(f"start {self.start} not in the lattice of side {self.L}")
-        validate_path(self.L, self.d, self.start, self.steps)
-
-    def points(self):
-        return validate_path(self.L, self.d, self.start, self.steps)
-
-    @property
-    def end(self):
-        return self.points()[-1]
-
-    def direction_vector(self):
-        return "".join("F" if s > 0 else "B" for s in self.steps)
+    return {j: move(z, j) for j in range(1, len(z) + 1)}
 
 
 def validate_path(L, d, start, steps):
@@ -91,15 +65,11 @@ def validate_path(L, d, start, steps):
     if sum(start) != L or min(start) < 0 or len(start) != d + 1:
         raise OutOfLattice(f"start {start} not in the lattice of side {L}", prefix_len=0)
     pts = [tuple(start)]
-    p = list(start)
     for k, step in enumerate(steps, start=1):
-        v = step_vector(step, d)
-        p = [a + b for a, b in zip(p, v)]
+        p = move(pts[-1], step)
         if min(p) < 0:
-            raise OutOfLattice(
-                f"prefix of length {k} leaves the lattice at {tuple(p)}", prefix_len=k
-            )
-        pts.append(tuple(p))
+            raise OutOfLattice(f"prefix of length {k} leaves the lattice at {p}", prefix_len=k)
+        pts.append(p)
     return pts
 
 
@@ -192,34 +162,66 @@ def count_generic(L, d, start, n):
     return generic_table(L, d, n)[k]
 
 
+def walks(start, n, neighbours, ends, cap=DEFAULT_CAP):
+    """Every n-move walk from ``start`` that stops at a point where ``ends``
+    holds, as tuples of move labels.
+
+    ``neighbours(i, v)`` lists the (label, target) pairs of the i-th move
+    from point v; walks come depth first, in that order. A forward pass
+    collects the points each move can reach, and a backward pass keeps only
+    the moves from which a walk can still finish, so the cost grows with the
+    reachable points and the output, never with the whole domain. It reads
+    no counts, so enumeration stays independent of ``sweep``. The search
+    keeps its own stack, so no length reaches the recursion limit. More than
+    ``cap`` walks raise CapExceeded.
+    """
+    layers = [{start: None}]  # layers[i]: the points reached after i moves
+    for i in range(n):
+        layer, reached = layers[i], {}
+        for v in layer:
+            layer[v] = moves = neighbours(i, v)
+            reached.update(dict.fromkeys(w for _, w in moves))
+        layers.append(reached)
+    live = {v for v in layers[n] if ends(v)}
+    for i in reversed(range(n)):  # keep the live moves, last first, as stack entries
+        layer = layers[i]
+        for v, moves in layer.items():
+            layer[v] = [(i + 1, w, m) for m, w in reversed(moves) if w in live]
+        live = {v for v, branches in layer.items() if branches}
+    if start not in live:
+        return []
+    out, acc = [], []
+    stack = [(0, start, None)]  # (moves made, point reached, label of the last move)
+    while stack:
+        i, v, label = stack.pop()
+        if i:
+            acc[i - 1:] = (label,)
+        if i == n:
+            if len(out) >= cap:
+                raise CapExceeded(f"more than {cap} walks")
+            out.append(tuple(acc))
+        else:
+            stack += layers[i][v]
+    return out
+
+
 def enumerate_paths(L, d, start, dv, cap=DEFAULT_CAP):
     """All walks with direction vector ``dv``, ordered by step index sequence.
 
-    Serves as the enumeration oracle for the DP counts; guarded by ``cap``.
+    Serves as the enumeration oracle for the DP counts, so it moves points
+    with ``move`` and a bounds check and never reads the counting graph;
+    guarded by ``cap``.
     """
     start = tuple(start)
     if len(start) != d + 1 or sum(start) != L or min(start) < 0:
         raise OutOfLattice(f"start {start} not in the lattice of side {L}, d={d}")
     _check_dv(dv)
-    out = []
+    families = {"F": range(1, d + 2), "B": range(-1, -d - 2, -1)}
 
-    def rec(p, acc):
-        if len(acc) == len(dv):
-            if len(out) >= cap:
-                raise CapExceeded(f"more than {cap} walks")
-            out.append(tuple(acc))
-            return
-        fwd = dv[len(acc)] == "F"
-        for j in range(1, d + 2):
-            step = j if fwd else -j
-            q = tuple(a + b for a, b in zip(p, step_vector(step, d)))
-            if min(q) >= 0:
-                acc.append(step)
-                rec(q, acc)
-                acc.pop()
+    def neighbours(i, z):
+        return [(s, q) for s in families[dv[i]] if min(q := move(z, s)) >= 0]
 
-    rec(start, [])
-    return out
+    return walks(start, len(dv), neighbours, lambda z: True, cap)
 
 
 def enumerate_generic(L, d, start, n, cap=DEFAULT_CAP):

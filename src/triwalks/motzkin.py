@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import lattice
 from .errors import CapExceeded, EmptySet, HeightOutOfRange, NotAPath
 
 UP, FLAT, DOWN = "U", "F", "D"
@@ -161,31 +162,22 @@ def count_paths_by_amplitude(n, L):
     return meander_count_table(L, n)[n][0]
 
 
-def enumerate_meanders(n, L, i=0, cap=1_000_000):
+def enumerate_meanders(n, L, i=0, cap=lattice.DEFAULT_CAP):
     """All meanders, lexicographic with U < F < D (enumeration oracle)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     H = L // 2
     if not 0 <= i <= H:
         raise HeightOutOfRange(f"start height {i} not in 0..{H} for L={L}")
-    out = []
 
-    def rec(h, acc):
-        if len(acc) == n:
-            if h == 0:
-                if len(out) >= cap:
-                    raise CapExceeded(f"more than {cap} meanders")
-                out.append(MotzkinWord("".join(acc), i))
-            return
-        if h > n - len(acc):
-            return  # cannot come back down to 0 in time
-        for ch in allowed_steps(h, L):
-            acc.append(ch)
-            rec(h + _HEIGHT_MOVE[ch], acc)
-            acc.pop()
+    def neighbours(_, h):
+        return [(ch, h + _HEIGHT_MOVE[ch]) for ch in allowed_steps(h, L)]
 
-    rec(i, [])
-    return out
+    try:
+        found = lattice.walks(i, n, neighbours, lambda h: h == 0, cap)
+    except CapExceeded:
+        raise CapExceeded(f"more than {cap} meanders") from None
+    return [MotzkinWord("".join(w), i) for w in found]
 
 
 def uniform_sample(n, L, seed=None, rng=None, start_height=0):

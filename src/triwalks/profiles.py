@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import all_points, count_table, step_vector
+from .lattice import all_points, count_table, move
 from .motzkin import meander_count_table
 
 
@@ -141,7 +141,7 @@ def check_profile_identities(L):
     for z in all_points(L, 2):
         polys = []
         for j in (1, 2, 3):
-            w = tuple(a + b for a, b in zip(z, step_vector(j, 2)))
+            w = move(z, j)
             polys.append(point_polynomial(w) if min(w) >= 0 else [0] * (L + 2))
         sums = [sum(q[i] for q in polys) for i in range(L + 2)]
         p = point_polynomial(z)

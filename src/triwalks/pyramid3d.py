@@ -76,11 +76,15 @@ def _waffle_graph(L):
     return lattice.neighbour_rows(pts, CARDINAL.values())
 
 
-def _waffle_count(L, n, start, ends):
-    """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
+def _check_walk(L, n, start):
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     _check_waffle_point(start, L)
+
+
+def _waffle_count(L, n, start, ends):
+    """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
+    _check_walk(L, n, start)
     index, rows = _waffle_graph(L)
     counts = [int(ends(pt)) for pt in index]
     for _ in range(n):
@@ -111,24 +115,12 @@ def signed_waffle_array(L, n_max):
     counts where i + j <= L and obeys w[n][i][j] = -w[n][L+1-j][L+1-i].
     """
     idx = [(i, j) for i in range(L + 2) for j in range(i + 1)]
-    w0 = {}
-    for i, j in idx:
-        if j == 0:
-            w0[(i, j)] = 1 if i <= L else 0
-        else:
-            w0[(i, j)] = -1 if i == L + 1 else 0
-    out = [w0]
+    _, rows = lattice.neighbour_rows(idx, CARDINAL.values())
+    w = [int(i <= L) if j == 0 else -int(i == L + 1) for i, j in idx]
+    out = [dict(zip(idx, w))]
     for _ in range(n_max):
-        prev = out[-1]
-        cur = {}
-        for i, j in idx:
-            cur[(i, j)] = (
-                prev.get((i + 1, j), 0)
-                + prev.get((i, j - 1), 0)
-                + prev.get((i, j + 1), 0)
-                + prev.get((i - 1, j), 0)
-            )
-        out.append(cur)
+        w = lattice.sweep(w, rows)
+        out.append(dict(zip(idx, w)))
     return out
 
 
@@ -209,8 +201,7 @@ def diamond_delta(z, cell, step):
 
 def diamond_delta_inv(z, j, cell):
     """Preimage (cell, cardinal step) of a tagged output cell."""
-    w = lattice.forward_neighbours(z)[j]
-    target = anchor(w, cell)
+    target = anchor(lattice.move(z, j), cell)
     L = sum(z)
     ins, outs = _local_lists(z, target, L)
     if (j, cell) not in outs:
@@ -232,7 +223,7 @@ def validate_scaffolding3d(L):
             for s in allowed_cardinal(z, cell, L):
                 rep.checked += 1
                 j, cell2 = diamond_delta(z, cell, s)
-                w = lattice.forward_neighbours(z)[j]
+                w = lattice.move(z, j)
                 a = anchor(z, cell)
                 d = CARDINAL[s]
                 if anchor(w, cell2) != (a[0] + d[0], a[1] + d[1]):
@@ -265,7 +256,7 @@ def waffle_to_pyramid(z_c, start_cell, walk):
         except NotAllowed as exc:
             raise InvalidWalk(str(exc)) from None
         steps.append(j)
-        z = lattice.forward_neighbours(z)[j]
+        z = lattice.move(z, j)
     return tuple(steps)
 
 
@@ -273,13 +264,13 @@ def pyramid_to_waffle(z_c, steps):
     """Inverse of ``waffle_to_pyramid``: recover (start cell, walk)."""
     z = tuple(z_c)
     for s in steps:
-        z = lattice.forward_neighbours(z)[s]
+        z = lattice.move(z, s)
         if min(z) < 0:
             raise InvalidWalk("walk leaves the pyramid")
     cell = (0, 0)
     letters = []
     for s in reversed(steps):
-        z = tuple(a - b for a, b in zip(z, lattice.step_vector(s, 3)))
+        z = lattice.move(z, -s)
         cell, ch = diamond_delta_inv(z, s, cell)
         letters.append(ch)
     return cell, "".join(reversed(letters))
@@ -293,23 +284,20 @@ def enumerate_pyramid_paths(L, start, n, orientation="F"):
 
 
 def enumerate_waffle_walks(L, start, n, end_on_axis=True):
-    out = []
+    """All length-n waffle walks from ``start`` (ending on the axis unless
+    ``end_on_axis`` is false), as NESW words in lexicographic N < E < S < W.
 
-    def rec(pt, acc):
-        if len(acc) == n:
-            if not end_on_axis or pt[1] == 0:
-                out.append("".join(acc))
-            return
-        for s in CARDINAL_ORDER:
-            d = CARDINAL[s]
-            q = (pt[0] + d[0], pt[1] + d[1])
-            if in_waffle(q, L):
-                acc.append(s)
-                rec(q, acc)
-                acc.pop()
+    Moves are checked with ``in_waffle``, not read off the counting graph,
+    so the enumeration stays an independent oracle for the counts.
+    """
+    _check_walk(L, n, start)
 
-    rec(tuple(start), [])
-    return out
+    def neighbours(_, pt):
+        steps = ((s, (pt[0] + dx, pt[1] + dy)) for s, (dx, dy) in CARDINAL.items())
+        return [(s, q) for s, q in steps if in_waffle(q, L)]
+
+    ends = (lambda pt: pt[1] == 0) if end_on_axis else (lambda pt: True)
+    return ["".join(w) for w in lattice.walks(tuple(start), n, neighbours, ends)]
 
 
 # -- closed-form generating function and the reflection principle -------------

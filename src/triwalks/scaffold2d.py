@@ -26,7 +26,7 @@ import json
 import random
 
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
-from .lattice import all_points, forward_neighbours, origin, step_vector
+from .lattice import all_points, forward_neighbours, move, origin
 from .motzkin import (
     _HEIGHT_MOVE,
     MotzkinWord,
@@ -68,7 +68,7 @@ class Scaffolding:
                     f"word does not fit in a triangle of side {self.L}"
                 ) from None
             steps.append(j)
-            z = tuple(a + b for a, b in zip(z, step_vector(j, 2)))
+            z = move(z, j)
         return tuple(steps)
 
     def triangular_to_motzkin(self, steps):
@@ -77,13 +77,13 @@ class Scaffolding:
         for s in steps:
             if s <= 0:
                 raise OutOfLattice("the transducer maps forward walks only")
-            z = tuple(a + b for a, b in zip(z, step_vector(s, 2)))
+            z = move(z, s)
             if min(z) < 0:
                 raise OutOfLattice("walk leaves the triangle")
         cell = (0, 0)
         letters = []
         for s in reversed(steps):
-            z = tuple(a - b for a, b in zip(z, step_vector(s, 2)))
+            z = move(z, -s)
             cell, ch = self.delta_inv(z, s, cell)
             letters.append(ch)
         return MotzkinWord("".join(reversed(letters)))
@@ -134,7 +134,7 @@ class Scaffolding:
                     f"word does not fit in a triangle of side {self.L}"
                 ) from None
             out.append(s)
-            z = tuple(a + b for a, b in zip(z, step_vector(s, 2)))
+            z = move(z, s)
             if min(z) < 0:
                 raise AmplitudeExceeded(f"left the triangle of side {self.L}")
         return tuple(out)
@@ -407,5 +407,5 @@ def sample_forward_path(L, n, seed=None, rng=None):
                 options.extend((j, c) for c in cells_at_height(w, h2))
         j, cell = options[rng.randrange(len(options))]
         steps.append(j)
-        z = tuple(a + b for a, b in zip(z, step_vector(j, 2)))
+        z = move(z, j)
     return tuple(steps)

@@ -357,7 +357,13 @@ def check_omega(max_L=5, max_n=7):
 
 
 def check_pyramid_waffle(max_L=4, max_n=7):
-    """The count identity w = p(i,j) - p(i-1,j-1) and the signed symmetry."""
+    """The count identity w = p(i,j) - p(i-1,j-1) and the signed symmetry.
+
+    Every count here, the signed array included, is a ``lattice.sweep`` over
+    ``lattice.neighbour_rows``, so this check tests the identities, not the
+    rows. The test suite compares ``count_waffle_walks`` with
+    ``enumerate_waffle_walks``, which moves with ``in_waffle`` instead.
+    """
     res = CheckResult("pyramid/waffle count identity", detail=f"L<={max_L}, n<={max_n}")
     for L in range(max_L + 1):
         for i, j in pyramid3d.waffle_points(L):

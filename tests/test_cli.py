@@ -311,3 +311,33 @@ def test_both_gf_commands_share_one_handler(capsys):
     _, _, b = run(capsys, "pyramid", "gf", "--L", "4", "--terms", "12")
     assert (a["command"], b["command"]) == ("gf", "pyramid gf")
     assert a["inputs"] == b["inputs"] and a["outputs"] == b["outputs"]
+
+
+@pytest.mark.parametrize(
+    "argv", ["count --n x", "", "frobnicate", "enumerate waffle"], ids=repr
+)
+def test_bad_command_lines_are_one_error_document(capsys, argv):
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(out) == 1
+    doc = json.loads(out[0])
+    assert doc["ok"] is False and doc["error"].startswith("triwalks")
+
+
+def test_help_is_not_an_error(capsys):
+    assert cli.main(["--help"]) == 0
+    assert '"ok"' not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "triangular", "--L", "1", "--dv", "F" * 1100],
+        ["enumerate", "motzkin", "--n", "1100", "--amplitude", "1"],
+    ],
+    ids=["triangular", "motzkin"],
+)
+def test_enumeration_past_the_recursion_limit(capsys, argv):
+    code, human, doc = run(capsys, *argv)
+    assert code == 0 and doc["ok"] is True
+    assert doc["outputs"]["count"] == 1 and len(doc["outputs"]["items"][0]) >= 1100

@@ -1,4 +1,5 @@
-"""The indexed counting kernel: whole tables, thin callers, grids, large sizes."""
+"""The indexed walk kernel: steps, whole tables, enumeration, thin callers, grids,
+large sizes."""
 
 import json
 import pathlib
@@ -6,7 +7,7 @@ import pathlib
 import pytest
 
 from triwalks import lattice, motzkin, pyramid3d, verify
-from triwalks.errors import BadDirectionVector, OutOfLattice, TriwalksError
+from triwalks.errors import BadDirectionVector, CapExceeded, OutOfLattice, TriwalksError
 
 FLOORS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "verify_floors.json"
 
@@ -22,6 +23,38 @@ def test_count_table_is_indexed_like_all_points():
                     assert c == lattice.count_paths(L, d, z, dv)
             gen = lattice.generic_table(L, d, 3)
             assert gen == [lattice.count_generic(L, d, z, 3) for z in pts]
+
+
+def test_move_round_trips_and_rejects_bad_steps():
+    for d in (2, 3):
+        for L in range(4):
+            for z in lattice.all_points(L, d):
+                for s in range(1, d + 2):
+                    assert lattice.move(lattice.move(z, s), -s) == z
+                    assert lattice.move(lattice.move(z, -s), s) == z
+        for bad in (0, d + 2, -(d + 2)):
+            with pytest.raises(ValueError):
+                lattice.move(lattice.origin(2, d), bad)
+
+
+@pytest.mark.parametrize(
+    "enumerate_, size",
+    [
+        (lambda cap: lattice.enumerate_paths(4, 2, lattice.origin(4), "FBFFBF", cap=cap),
+         lattice.count_paths(4, 2, lattice.origin(4), "FBFFBF")),
+        (lambda cap: lattice.enumerate_generic(3, 3, (1, 1, 0, 1), 3, cap=cap),
+         lattice.count_generic(3, 3, (1, 1, 0, 1), 3)),
+        (lambda cap: motzkin.enumerate_meanders(7, 4, 1, cap=cap),
+         motzkin.count_meanders(4, 7, 1)),
+        (lambda cap: lattice.walks(0, 5, lambda i, v: [("a", v), ("b", v + 1)], bool, cap),
+         2**5 - 1),
+    ],
+    ids=["paths", "generic", "meanders", "walks"],
+)
+def test_enumerators_allow_exactly_cap_items(enumerate_, size):
+    assert len(enumerate_(size)) == size
+    with pytest.raises(CapExceeded):
+        enumerate_(size - 1)
 
 
 def test_pyramid_points_follow_all_points():

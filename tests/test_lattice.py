@@ -19,13 +19,6 @@ def test_step_vectors_triangle():
     assert lattice.step_vector(-1) == (-1, 0, 1)
 
 
-def test_apply_step():
-    assert lattice.apply_step((0, 0, 3), 1) == (1, 0, 2)
-    with pytest.raises(OutOfLattice):
-        lattice.apply_step((0, 0, 3), 2)
-    assert lattice.apply_step((1, 1, 1), -1) == (0, 1, 2)
-
-
 def test_validate_path():
     pts = lattice.validate_path(3, 2, (0, 0, 3), (1, 2))
     assert pts == [(0, 0, 3), (1, 0, 2), (0, 1, 2)]
@@ -35,14 +28,6 @@ def test_validate_path():
     with pytest.raises(OutOfLattice) as exc:
         lattice.validate_path(2, 2, (0, 0, 2), (1, 1, 1))
     assert exc.value.prefix_len == 3
-
-
-def test_path_dataclass():
-    p = lattice.LatticePath(3, 2, (0, 0, 3), (1, 2))
-    assert p.end == (0, 1, 2)
-    assert p.direction_vector() == "FF"
-    with pytest.raises(OutOfLattice):
-        lattice.LatticePath(3, 2, (0, 0, 3), (2,))
 
 
 def test_count_paths_paper_values():

@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from triwalks import flips, lattice  # noqa: E402
+from conftest import brute_generic  # noqa: E402
+from triwalks import flips, lattice, motzkin, pyramid3d  # noqa: E402
 
 
 @given(
@@ -20,6 +21,32 @@ from triwalks import flips, lattice  # noqa: E402
 )
 def test_count_table_independent_of_direction_vector(d, L, dv):
     assert lattice.count_table(L, d, dv) == lattice.count_table(L, d, "F" * len(dv))
+
+
+@settings(max_examples=20)
+@given(data=st.data(), d=st.sampled_from((2, 3)), L=st.integers(0, 6),
+       dv=st.text(alphabet="FB", max_size=7))
+def test_enumerated_paths_equal_the_brute_force_walks(data, d, L, dv):
+    z = data.draw(st.sampled_from(lattice.all_points(L, d)))
+    want = [w for w in brute_generic(L, d, z, len(dv))
+            if "".join("F" if s > 0 else "B" for s in w) == dv]
+    assert lattice.enumerate_paths(L, d, z, dv) == want
+
+
+@settings(max_examples=50)
+@given(data=st.data(), L=st.integers(0, 9), n=st.integers(0, 12))
+def test_enumerated_meanders_match_their_count(data, L, n):
+    i = data.draw(st.integers(0, L // 2))
+    assert len(motzkin.enumerate_meanders(n, L, i)) == motzkin.count_meanders(L, n, i)
+
+
+@settings(max_examples=50)
+@given(data=st.data(), L=st.integers(0, 8), n=st.integers(0, 9))
+def test_enumerated_waffle_walks_match_their_count(data, L, n):
+    start = data.draw(st.sampled_from(pyramid3d.waffle_points(L)))
+    assert len(pyramid3d.enumerate_waffle_walks(L, start, n)) == (
+        pyramid3d.count_waffle_walks(L, n, start)
+    )
 
 
 @st.composite
@@ -37,7 +64,7 @@ def walks(draw, min_size=50, max_size=500):
     for pick in picks:
         options = []
         for s in steps:
-            nxt = tuple(a + b for a, b in zip(point, lattice.step_vector(s, d)))
+            nxt = lattice.move(point, s)
             if min(nxt) >= 0:
                 options.append((s, nxt))
         s, point = options[pick % len(options)]

@@ -54,6 +54,8 @@ def test_waffle_walk_counts():
             assert pyramid3d.count_waffle_walks(L, 0, (i, j)) == (1 if j == 0 else 0)
     with pytest.raises(OutsideWaffle):
         pyramid3d.count_waffle_walks(3, 1, (0, 1))
+    with pytest.raises(OutsideWaffle):
+        pyramid3d.enumerate_waffle_walks(4, (3, 2), 2)
     # DP equals the enumeration oracle
     for L in range(3):
         for start in pyramid3d.waffle_points(L):
