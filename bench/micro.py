@@ -1,0 +1,100 @@
+"""Per-layer timings of the scaffolding transducers, the forward sampler and
+the 3d scaffolding, written to a BENCH_*.json file.
+
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_8.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_8.json
+
+``triwalks`` is imported from PYTHONPATH, so the same script times any
+checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
+built once from fixed seeds. The run is stored under its label; other labels
+already in the output file are kept, so one file holds a before/after pair.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import time
+
+from triwalks import motzkin, pyramid3d, scaffold2d
+
+REPEATS = 5
+
+
+def best_of(fn, *args):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def waffle_walk(L, n, seed):
+    """A walk of n letters inside the waffle of side L from (0, 0), each
+    step drawn uniformly among the cardinal steps that stay inside."""
+    rng = random.Random(seed)
+    pt, letters = (0, 0), []
+    for _ in range(n):
+        options = []
+        for s in pyramid3d.CARDINAL_ORDER:
+            dx, dy = pyramid3d.CARDINAL[s]
+            nxt = (pt[0] + dx, pt[1] + dy)
+            if pyramid3d.in_waffle(nxt, L):
+                options.append((s, nxt))
+        s, pt = options[rng.randrange(len(options))]
+        letters.append(s)
+    return "".join(letters)
+
+
+def rows():
+    out = []
+    n, L = 10_000, 21
+    scaf = scaffold2d.TrapeziumScaffolding(L)
+    word = motzkin.uniform_sample(n, L, seed=1)
+    walk = scaf.motzkin_to_triangular(word)
+    params = {"n": n, "L": L, "word": "uniform_sample(n, L, seed=1)"}
+    out.append(("trapezium m2t", params, best_of(scaf.motzkin_to_triangular, word)))
+    out.append(("trapezium t2m", params, best_of(scaf.triangular_to_motzkin, walk)))
+
+    n, L = 4_000, 25
+    out.append(("sample_forward_path", {"n": n, "L": L, "seed": 1},
+                best_of(scaffold2d.sample_forward_path, L, n, 1)))
+
+    n, L = 4_000, 12
+    z = (0, 0, 0, L)
+    walk = waffle_walk(L, n, seed=1)
+    out.append(("waffle_to_pyramid",
+                {"n": n, "L": L, "point": list(z), "cell": [0, 0],
+                 "walk": "bench.micro.waffle_walk(L, n, seed=1)"},
+                best_of(pyramid3d.waffle_to_pyramid, z, (0, 0), walk)))
+    return [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="name of this run in the output file")
+    ap.add_argument("--out", required=True, help="BENCH_*.json file to write or extend")
+    args = ap.parse_args(argv)
+    doc = {"repeats": REPEATS, "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "rows": rows(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for row in doc["runs"][args.label]["rows"]:
+        print(f"{args.label:8} {row['name']:22} {row['seconds']:.4f} s")
+
+
+if __name__ == "__main__":
+    main()

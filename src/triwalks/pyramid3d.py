@@ -135,6 +135,15 @@ def profile3d(z):
     ]
 
 
+def _has_cell(z, cell):
+    """Whether ``cell`` is in ``profile3d(z)``, by its bounds."""
+    x1, x2, x3, x4 = z
+    if len(cell) != 2:
+        return False
+    p, q = cell
+    return 0 <= p <= min(x2, x4) and 0 <= q <= min(x1, x3)
+
+
 def anchor(z, cell):
     x1, x2, x3, x4 = z
     p, q = cell
@@ -143,14 +152,11 @@ def anchor(z, cell):
 
 def anchor_cell(z, pt):
     """The cell of z anchored at ``pt``, or None."""
-    x1, x2, x3, x4 = z
-    di = pt[0] - x1 - x3
+    di = pt[0] - z[0] - z[2]
     if (di + pt[1]) % 2:
         return None
-    p, q = (di + pt[1]) // 2, (pt[1] - di) // 2
-    if 0 <= p <= min(x2, x4) and 0 <= q <= min(x1, x3):
-        return (p, q)
-    return None
+    cell = ((di + pt[1]) // 2, (pt[1] - di) // 2)
+    return cell if _has_cell(z, cell) else None
 
 
 def anchored_region(z):
@@ -186,7 +192,7 @@ def _local_lists(z, target, L):
 def diamond_delta(z, cell, step):
     """One scaffolding lookup: (cell, cardinal step) to (pyramid step, cell)."""
     L = sum(z)
-    if cell not in set(profile3d(z)):
+    if not _has_cell(z, cell):
         raise NotAllowed(f"cell {cell} not in C({z})")
     a = anchor(z, cell)
     d = CARDINAL[step]
@@ -245,7 +251,7 @@ def waffle_to_pyramid(z_c, start_cell, walk):
     """
     L = sum(z_c)
     z, cell = tuple(z_c), tuple(start_cell)
-    if cell not in set(profile3d(z)):
+    if not _has_cell(z, cell):
         raise InvalidWalk(f"cell {cell} not in C({z})")
     steps = []
     for ch in walk:

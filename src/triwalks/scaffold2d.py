@@ -27,13 +27,7 @@ import random
 
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
 from .lattice import all_points, forward_neighbours, move, origin
-from .motzkin import (
-    _HEIGHT_MOVE,
-    MotzkinWord,
-    allowed_steps,
-    meander_count_table,
-    uniform_sample,
-)
+from .motzkin import _HEIGHT_MOVE, MotzkinWord, allowed_steps, uniform_sample
 from .profiles import CheckResult, cell_bounds, cell_representation, cells_at_height
 
 
@@ -74,16 +68,17 @@ class Scaffolding:
     def triangular_to_motzkin(self, steps):
         """Inverse transducer: consume the walk from its far end."""
         z = origin(self.L)
+        points = []
         for s in steps:
             if s <= 0:
                 raise OutOfLattice("the transducer maps forward walks only")
+            points.append(z)
             z = move(z, s)
             if min(z) < 0:
                 raise OutOfLattice("walk leaves the triangle")
         cell = (0, 0)
         letters = []
-        for s in reversed(steps):
-            z = move(z, -s)
+        for z, s in zip(reversed(points), reversed(steps)):
             cell, ch = self.delta_inv(z, s, cell)
             letters.append(ch)
         return MotzkinWord("".join(reversed(letters)))
@@ -294,19 +289,27 @@ def trapezium_rule(x1, x2, f, l, step):
 
 
 class TrapeziumScaffolding(Scaffolding):
-    """The rule-based scaffolding; no tables, nothing precomputed."""
+    """The rule-based scaffolding; no tables, only the steps usable per height."""
 
     def __init__(self, L):
         super().__init__()
         self.L = L
+        self._steps = [allowed_steps(f, L) for f in range(L // 2 + 1)]
 
-    def _check_domain(self, z, cell, step):
-        f, l = cell
+    def _domain_error(self, z, f, l, step):
+        """Why (cell, step) = ((f, l), step) is not in A(z), or None if it is."""
         lo, hi = cell_bounds(z, f)
         if not lo <= l <= hi:
-            raise NotAllowed(f"cell {cell} not in C({z})")
-        if step not in allowed_steps(f, self.L):
-            raise NotAllowed(f"step {step} not allowed at height {f} for L={self.L}")
+            return f"cell {(f, l)} not in C({z})"
+        # a cell of a point off level L may sit above height L // 2
+        if not 0 <= f < len(self._steps) or step not in self._steps[f]:
+            return f"step {step} not allowed at height {f} for L={self.L}"
+        return None
+
+    def _check_domain(self, z, cell, step):
+        err = self._domain_error(z, cell[0], cell[1], step)
+        if err is not None:
+            raise NotAllowed(err)
 
     def delta(self, z, cell, step):
         self._check_domain(z, cell, step)
@@ -319,25 +322,62 @@ class TrapeziumScaffolding(Scaffolding):
         return trapezium_rule(z[0], z[1], cell[0], cell[1], step)[2]
 
     def delta_inv(self, z, j, cell):
-        """Invert by trying the handful of affine preimage candidates.
+        """Invert the case partition of ``trapezium_rule`` in closed form.
 
-        Every rule shifts the cell index by at most one, and the height
-        move fixes the letter's source row, so nine candidates suffice;
-        the certified bijectivity of the forward rules guarantees exactly
-        one of them maps back to the requested value.
+        The step j and the output cell (f', l') single out the one case that
+        can produce them; with a, b = x1, x2:
+
+          j = 1: f' + l' = a + b + 1 undoes cases 2 and 3 (U; the cell
+            index also moved up by one when l' > a, the branch of case 2
+            that starts at l = a); f' + l' = a + b with l' <= a undoes 9
+            (F, same cell); the column l' = a + 1 undoes 11 (F from
+            l = a); everything else undoes 8 (D).
+          j = 2: the cell (a, b) undoes 1 (U); the column l' = b + 1
+            undoes 5 (U from l = b); the anti-diagonal f' + l' = a + b
+            undoes 4 (U); everything else undoes 7 and 10 (F, same cell).
+          j = 3: l' < f' undoes 6 (U); otherwise f' = a undoes the flat
+            branch of 12 (the cell (a, a)) and every other f' its down
+            branch (D from (f' + 1, l' + 1)).
+
+        Any other j has no preimage. The candidate must pass the same domain
+        check as ``delta``, and one forward ``trapezium_rule`` call must give
+        back (j, cell); otherwise (j, cell) is not in the image of A(z) and
+        NotAllowed is raised.
         """
         self.lookup_count += 1
+        a, b = z[0], z[1]
         f2, l2 = cell
-        for ch in ("U", "F", "D"):
-            f = f2 - _HEIGHT_MOVE[ch]
-            for l in (l2, l2 - 1, l2 + 1):
-                try:
-                    self._check_domain(z, (f, l), ch)
-                except NotAllowed:
-                    continue
-                jj, c2, _ = trapezium_rule(z[0], z[1], f, l, ch)
-                if jj == j and c2 == cell:
-                    return (f, l), ch
+        if j == 1:
+            if f2 + l2 == a + b + 1:
+                f, l, ch = f2 - 1, (l2 if l2 <= a else l2 - 1), "U"
+            elif f2 + l2 == a + b and l2 <= a:
+                f, l, ch = f2, l2, "F"
+            elif l2 == a + 1:
+                f, l, ch = f2, a, "F"
+            else:
+                f, l, ch = f2 + 1, l2, "D"
+        elif j == 2:
+            if f2 == a and l2 == b:
+                f, l, ch = a - 1, b, "U"
+            elif l2 == b + 1:
+                f, l, ch = f2 - 1, b, "U"
+            elif f2 + l2 == a + b:
+                f, l, ch = f2 - 1, l2, "U"
+            else:
+                f, l, ch = f2, l2, "F"
+        elif j == 3:
+            if l2 < f2:
+                f, l, ch = f2 - 1, l2, "U"
+            elif f2 == a:
+                f, l, ch = f2, l2, "F"
+            else:
+                f, l, ch = f2 + 1, l2 + 1, "D"
+        else:
+            raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
+        if self._domain_error(z, f, l, ch) is None:
+            jj, c2, _case = trapezium_rule(a, b, f, l, ch)
+            if jj == j and c2 == cell:
+                return (f, l), ch
         raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
 
 
@@ -391,11 +431,18 @@ def sample_forward_path(L, n, seed=None, rng=None):
     required height. Averaging over those choices makes every forward walk
     exactly equally likely.
     """
+    # checked here: uniform_sample would report L < 0 as a bad start height
+    if n < 0 or L < 0:
+        raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
     if rng is None:
         rng = random.Random(seed)
-    if meander_count_table(L, n)[n][0] == 0:
-        raise EmptySet(f"no forward walks of length {n} in a triangle of side {L}")
-    word = uniform_sample(n, L, rng=rng)
+    try:
+        word = uniform_sample(n, L, rng=rng)
+    except EmptySet:
+        # raised before any draw, so the rng is untouched
+        raise EmptySet(
+            f"no forward walks of length {n} in a triangle of side {L}"
+        ) from None
     z = origin(L)
     cell = (0, 0)
     steps = []

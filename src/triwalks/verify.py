@@ -272,7 +272,7 @@ def check_trapezium(max_L=7, n_random=1000, max_len=40, seed=11):
                       detail=f"L<={max_L} pointwise, {n_random} random words")
     # case-image conditions, pointwise
     for L in range(max_L + 1):
-        scaf = scaffold2d.TrapeziumScaffolding(L)
+        big = scaffold2d.TrapeziumScaffolding(L + 4)
         for z in lattice.all_points(L, 2):
             x1, x2, _ = z
             for cell in profiles.cell_representation(z):
@@ -304,7 +304,6 @@ def check_trapezium(max_L=7, n_random=1000, max_len=40, seed=11):
                     # the same (x1, x2, cell, step) in a bigger triangle
                     # must produce the same output whenever still defined
                     z_big = (x1, x2, z[2] + 4)
-                    big = scaffold2d.TrapeziumScaffolding(L + 4)
                     if ch in motzkin.allowed_steps(cell[0], L + 4):
                         if big.delta(z_big, cell, ch) != (j, (f2, l2)):
                             return res.fail((L, z, cell, ch), "size dependence")

@@ -125,6 +125,14 @@ def test_gf_and_pyramid(capsys):
     assert len(doc["outputs"]["path"].split()) == 2
 
 
+def test_pyramid_map_cell_of_the_wrong_length_is_one_error_document(capsys):
+    code, human, doc = run(capsys, "pyramid", "map", "--L", "3", "--cell", "0,0,0",
+                           "--walk", "N")
+    assert code == 1 and human == []
+    assert doc["ok"] is False
+    assert doc["error"] == "cell (0, 0, 0) not in C((0, 0, 0, 3))"
+
+
 def test_verify_subcommand(capsys):
     code, human, doc = run(capsys, "verify", "--suite", "profiles", "--max-L", "4",
                            "--max-n", "4")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import brute_generic  # noqa: E402
 from triwalks import flips, lattice, motzkin, pyramid3d  # noqa: E402
+from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
 
 
 @given(
@@ -107,3 +108,58 @@ def test_trace_replays_to_transform(case):
             cur[i:] = flips.last_step_flip(cur[i:], d)
         assert tuple(cur[i : i + len(ev.after)]) == ev.after
     assert tuple(cur) == image
+
+
+# one materialized scaffolding, built once at import
+RANDOM_SCAFFOLDING = RandomScaffolding(9, seed=8)
+
+
+@st.composite
+def scaffolded_paths(draw, min_size=50, max_size=500):
+    """(scaffolding, Motzkin path): the trapezium scaffolding of a drawn side
+    L or the random one, and a path of amplitude at most L whose letters are
+    each picked among those that still let it return to height 0."""
+    if draw(st.booleans()):
+        scaf = RANDOM_SCAFFOLDING
+    else:
+        scaf = TrapeziumScaffolding(draw(st.integers(1, 12)))
+    n = draw(st.integers(min_size, max_size))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    h, letters = 0, []
+    for left, pick in zip(range(n - 1, -1, -1), picks):
+        options = [ch for ch in motzkin.allowed_steps(h, scaf.L)
+                   if h + motzkin._HEIGHT_MOVE[ch] <= left]
+        ch = options[pick % len(options)]
+        letters.append(ch)
+        h += motzkin._HEIGHT_MOVE[ch]
+    return scaf, motzkin.MotzkinWord("".join(letters))
+
+
+@settings(max_examples=30)
+@given(scaffolded_paths())
+def test_transducer_round_trip_one_lookup_per_letter(case):
+    scaf, word = case
+    n = len(word)
+    before = scaf.lookup_count
+    walk = scaf.motzkin_to_triangular(word)
+    assert scaf.lookup_count - before == n
+    lattice.validate_path(scaf.L, 2, lattice.origin(scaf.L), walk)
+    assert all(s > 0 for s in walk)
+    before = scaf.lookup_count
+    back = scaf.triangular_to_motzkin(walk)
+    assert scaf.lookup_count - before == n
+    assert back == word
+    assert scaf.motzkin_to_triangular(back) == walk
+
+
+@settings(max_examples=30)
+@given(scaffolded_paths(), st.data())
+def test_bicolored_image_stays_in_the_triangle_and_follows_the_coloring(case, data):
+    scaf, word = case
+    colors = data.draw(st.text(alphabet="bw", min_size=len(word), max_size=len(word)))
+    colored = motzkin.MotzkinWord(word.steps, colors=colors)
+    before = scaf.lookup_count
+    image = scaf.bicolored_to_generic(colored, method="two")
+    assert scaf.lookup_count - before == len(word)
+    lattice.validate_path(scaf.L, 2, lattice.origin(scaf.L), image)
+    assert flips.direction_vector(image) == colored.direction_vector()

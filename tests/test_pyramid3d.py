@@ -155,7 +155,24 @@ def test_waffle_to_pyramid_round_trip_small():
                 assert sorted(seen) == sorted(brute_pyramid(L, z, n))
 
 
+def test_cell_membership_by_bounds_matches_the_cell_list():
+    # every point up to L = 4, cells in a box one wider than C(z), and cells
+    # of the wrong length, which lie in no C(z)
+    for L in range(5):
+        for z in pyramid3d.pyramid_points(L):
+            cells = set(pyramid3d.profile3d(z))
+            for p in range(-1, L + 2):
+                for q in range(-1, L + 2):
+                    assert pyramid3d._has_cell(z, (p, q)) == ((p, q) in cells)
+            for bad in ((), (0,), (0, 0, 0)):
+                assert not pyramid3d._has_cell(z, bad)
+                with pytest.raises(NotAllowed, match=r"not in C\("):
+                    pyramid3d.diamond_delta(z, bad, "N")
+
+
 def test_waffle_to_pyramid_errors():
+    with pytest.raises(InvalidWalk, match=r"cell \(0, 0, 0\) not in C\(\(0, 0, 0, 3\)\)"):
+        pyramid3d.waffle_to_pyramid((0, 0, 0, 3), (0, 0, 0), "N")
     with pytest.raises(InvalidWalk):
         pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (1, 1), "N")
     with pytest.raises(InvalidWalk):

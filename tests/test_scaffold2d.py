@@ -258,3 +258,71 @@ def test_sample_forward_path_empirical_distribution():
     expected = draws / len(paths)
     for c in counts.values():
         assert abs(c - expected) < 6 * expected**0.5
+
+
+def _nine_candidate_preimages(scaf, z, cell):
+    """Reference inverse at one output cell, for every tag j at once.
+
+    Every rule moves the cell index by at most one and the letter fixes the
+    source height, so the nine (cell, letter) pairs one step from ``cell``
+    contain every preimage; each goes through the forward map, domain check
+    included. Returns {j: first preimage found, in U F D order}.
+    """
+    f2, l2 = cell
+    found = {}
+    for ch in ("U", "F", "D"):
+        f = f2 - motzkin._HEIGHT_MOVE[ch]
+        for l in (l2, l2 - 1, l2 + 1):
+            try:
+                j, image = scaf.delta(z, (f, l), ch)
+            except NotAllowed:
+                continue
+            if image == cell:
+                found.setdefault(j, ((f, l), ch))
+    return found
+
+
+def test_trapezium_inverse_matches_the_nine_candidate_search():
+    # every point up to L = 12, every tag j (0 and 4 have no preimage), and
+    # output cells in a box one wider than the cell sets on every side
+    for L in range(13):
+        scaf = TrapeziumScaffolding(L)
+        for z in lattice.all_points(L, 2):
+            for f in range(-1, L // 2 + 2):
+                for l in range(-1, L + 2):
+                    want = _nine_candidate_preimages(scaf, z, (f, l))
+                    for j in range(5):
+                        try:
+                            got = scaf.delta_inv(z, j, (f, l))
+                        except NotAllowed as exc:
+                            assert j not in want, (L, z, j, (f, l))
+                            assert str(exc) == f"({j}, {(f, l)}) has no preimage at {z}"
+                        else:
+                            assert got == want.get(j), (L, z, j, (f, l))
+
+
+def test_trapezium_inverse_needs_one_rule_evaluation(monkeypatch):
+    calls = []
+    rule = scaffold2d.trapezium_rule
+    monkeypatch.setattr(scaffold2d, "trapezium_rule", lambda *a: calls.append(a) or rule(*a))
+    scaf = TrapeziumScaffolding(9)
+    word = motzkin.uniform_sample(200, 9, seed=5)
+    path = scaf.motzkin_to_triangular(word)
+    calls.clear()
+    assert scaf.triangular_to_motzkin(path) == word
+    assert len(calls) == 200
+
+
+def test_trapezium_height_outside_the_table_is_not_allowed():
+    # z = (4, 4, 0) lies at level 8, so in a scaffolding for L = 2 its cells
+    # sit above height L // 2 = 1; no lookup may index the step table there
+    scaf = TrapeziumScaffolding(2)
+    for cell in ((2, 2), (3, 3), (4, 4)):
+        with pytest.raises(NotAllowed, match="not allowed at height"):
+            scaf.delta((4, 4, 0), cell, "D")
+        with pytest.raises(NotAllowed, match="not allowed at height"):
+            scaffold2d.trapezium_delta((4, 4, 0), cell, "F", L=2)
+    with pytest.raises(NotAllowed):
+        scaf.delta_inv((4, 4, 0), 3, (3, 3))
+    with pytest.raises(NotAllowed, match="not in C"):
+        scaf.delta((0, 0, 2), (-1, -1), "U")
