@@ -1,26 +1,32 @@
 """Per-layer timings of the scaffolding transducers, the forward sampler and
-the 3d scaffolding, written to a BENCH_*.json file.
+the 3d scaffolding, and end-to-end timings of large ``count`` commands,
+written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_8.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_8.json
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_9.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_9.json
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
 built once from fixed seeds. The run is stored under its label; other labels
 already in the output file are kept, so one file holds a before/after pair.
 Standard library only.
+
+The ``count`` rows run ``cli.main`` in-process with stdout captured, so
+they time the command a user runs, whatever code serves it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
 import time
 
-from triwalks import motzkin, pyramid3d, scaffold2d
+from triwalks import cli, motzkin, pyramid3d, scaffold2d
 
 REPEATS = 5
 
@@ -51,6 +57,20 @@ def waffle_walk(L, n, seed):
     return "".join(letters)
 
 
+COUNT_ARGVS = [
+    "count triangular --L 40 --n 400",
+    "count triangular --L 40 --n 2000",
+    "count bicolored --L 4 --p 7 --q 7",
+    "count motzkin --n 6000 --amplitude 40",
+]
+
+
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"triwalks {' '.join(argv)} failed")
+
+
 def rows():
     out = []
     n, L = 10_000, 21
@@ -72,6 +92,9 @@ def rows():
                 {"n": n, "L": L, "point": list(z), "cell": [0, 0],
                  "walk": "bench.micro.waffle_walk(L, n, seed=1)"},
                 best_of(pyramid3d.waffle_to_pyramid, z, (0, 0), walk)))
+
+    for argv in COUNT_ARGVS:
+        out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
     return [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
 
 
@@ -93,7 +116,7 @@ def main(argv=None):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for row in doc["runs"][args.label]["rows"]:
-        print(f"{args.label:8} {row['name']:22} {row['seconds']:.4f} s")
+        print(f"{args.label:8} {row['name']:45} {row['seconds']:.4f} s")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -88,17 +89,30 @@ def cmd_count(args):
         if args.n < 0:
             raise ValueError(f"need n >= 0, got n={args.n}")
         dv = args.dv if args.dv else "F" * args.n
-        value = lattice.count_paths(args.L, args.d, start, dv)
+        if args.d == 2:  # served by direction-vector independence
+            # the start is checked before the letters, as the DP checks them
+            value = profiles.forward_count(args.L, start, len(dv))
+            lattice.check_dv(dv)
+        else:
+            value = lattice.count_paths(args.L, args.d, start, dv)
         inputs = {"family": "triangular", "L": args.L, "d": args.d,
                   "start": lattice.format_point(start), "dv": dv}
     elif args.family == "generic":
         start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, args.d)
-        value = lattice.count_generic(args.L, args.d, start, args.n)
+        if args.d == 2:  # each of the 2^n direction vectors counts like "F" * n
+            value = profiles.forward_count(args.L, start, args.n) << args.n
+        else:
+            value = lattice.count_generic(args.L, args.d, start, args.n)
         inputs = {"family": "generic", "L": args.L, "d": args.d,
                   "start": lattice.format_point(start), "n": args.n}
     elif args.family == "bicolored":
-        value = lattice.count_bicolored_pairs(args.L, args.p, args.q)
-        inputs = {"family": "bicolored", "L": args.L, "p": args.p, "q": args.q}
+        p, q = args.p, args.q
+        if p < 0 or q < 0:
+            raise ValueError(f"need p, q >= 0, got p={p}, q={q}")
+        lattice.origin(args.L)  # rejects L < 0 with the message of the DP
+        # each of the C(p+q, p) interleavings counts like the forward walks
+        value = math.comb(p + q, p) * motzkin.count_paths_by_amplitude(p + q, args.L)
+        inputs = {"family": "bicolored", "L": args.L, "p": p, "q": q}
     elif args.family == "pyramid":
         start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, 3)
         value = pyramid3d.count_pyramid_paths(args.L, args.n, start, args.orientation)
@@ -281,11 +295,12 @@ def cmd_verify(args):
 OPERATION_COVERAGE = {
     "lattice.origin": "count triangular",
     "lattice.validate_path": "map",
-    "lattice.count_paths": "count triangular",
-    "lattice.count_generic": "count generic",
+    "lattice.count_paths": "count triangular --d 3",
+    "lattice.count_generic": "count generic --d 3",
     "lattice.enumerate_paths": "enumerate triangular",
-    "lattice.count_bicolored_pairs": "count bicolored",
+    "lattice.count_bicolored_pairs": "verify --suite counts",
     "motzkin.amplitude": "map",
+    "motzkin.meander_row": "count motzkin",
     "motzkin.count_meanders": "count motzkin",
     "motzkin.count_paths_by_amplitude": "count motzkin",
     "motzkin.enumerate_meanders": "enumerate motzkin",
@@ -297,6 +312,7 @@ OPERATION_COVERAGE = {
     "flips.tile": "verify --suite flips",
     "flips.read_path": "verify --suite flips",
     "profiles.profile": "profile",
+    "profiles.forward_count": "count triangular",
     "profiles.cell_representation": "profile",
     "profiles.check_profile_identities": "verify --suite profiles",
     "profiles.check_forward_counts_via_profiles": "verify --suite profiles",

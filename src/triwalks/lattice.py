@@ -119,7 +119,8 @@ def point_index(L, d, start):
         raise OutOfLattice(f"start {tuple(start)} not in the lattice of side {L}, d={d}") from None
 
 
-def _check_dv(dv):
+def check_dv(dv):
+    """BadDirectionVector unless ``dv`` is a string over F and B."""
     bad = set(dv) - {"F", "B"}
     if bad:
         raise BadDirectionVector(f"direction vector {dv!r} has letters {sorted(bad)}; want F/B")
@@ -139,7 +140,7 @@ def count_table(L, d, dv):
     Dynamic programming from the end of the walk: after the last k letters,
     entry z holds the number of completions of length k from z.
     """
-    _check_dv(dv)
+    check_dv(dv)
     return _table(L, d, dv)
 
 
@@ -215,7 +216,7 @@ def enumerate_paths(L, d, start, dv, cap=DEFAULT_CAP):
     start = tuple(start)
     if len(start) != d + 1 or sum(start) != L or min(start) < 0:
         raise OutOfLattice(f"start {start} not in the lattice of side {L}, d={d}")
-    _check_dv(dv)
+    check_dv(dv)
     families = {"F": range(1, d + 2), "B": range(-1, -d - 2, -1)}
 
     def neighbours(i, z):
@@ -239,7 +240,10 @@ def count_bicolored_pairs(L, p, q, d=2):
 
     Summed over every interleaving of the two orientations; by the direction
     vector symmetry this equals binomial(p+q, p) times the forward count.
+    One DP per interleaving: the oracle of the closed form the CLI serves.
     """
+    if p < 0 or q < 0:
+        raise ValueError(f"need p, q >= 0, got p={p}, q={q}")
     start = origin(L, d)
     total = 0
     for positions in itertools.combinations(range(p + q), p):

@@ -125,6 +125,16 @@ def fits_amplitude(word, L):
     return True
 
 
+def _next_meander_row(prev, L):
+    """Row m of the meander table from row m - 1, by the first-step recurrence.
+
+    From height i a meander steps to i + 1 (i < H), to i (i < H, or L odd)
+    or to i - 1 (i > 0).
+    """
+    flat = prev if L % 2 == 1 else prev[:-1] + [0]
+    return [u + f + d for u, f, d in zip(prev[1:] + [0], flat, [0] + prev[:-1])]
+
+
 def meander_count_table(L, n):
     """table[m][i] = number of meanders of length m from height i, amplitude <= L.
 
@@ -132,21 +142,24 @@ def meander_count_table(L, n):
     """
     if n < 0 or L < 0:
         raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
-    H = L // 2
-    table = [[0] * (H + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for m in range(1, n + 1):
-        prev = table[m - 1]
-        for i in range(H + 1):
-            tot = 0
-            if i < H:
-                tot += prev[i + 1]
-            if i < H or L % 2 == 1:
-                tot += prev[i]
-            if i > 0:
-                tot += prev[i - 1]
-            table[m][i] = tot
+    table = [[1] + [0] * (L // 2)]
+    for _ in range(n):
+        table.append(_next_meander_row(table[-1], L))
     return table
+
+
+def meander_row(L, n):
+    """row[i] = number of meanders of length n from height i, amplitude <= L.
+
+    The last row of ``meander_count_table``, by the same recurrence, keeping
+    one row of H + 1 big ints at a time: O(n L) time and O(L) numbers of memory.
+    """
+    if n < 0 or L < 0:
+        raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
+    row = [1] + [0] * (L // 2)
+    for _ in range(n):
+        row = _next_meander_row(row, L)
+    return row
 
 
 def count_meanders(L, n, i):
@@ -154,12 +167,12 @@ def count_meanders(L, n, i):
     H = L // 2
     if not 0 <= i <= H:
         raise HeightOutOfRange(f"start height {i} not in 0..{H} for L={L}")
-    return meander_count_table(L, n)[n][i]
+    return meander_row(L, n)[i]
 
 
 def count_paths_by_amplitude(n, L):
     """Motzkin paths of length n with amplitude at most L."""
-    return meander_count_table(L, n)[n][0]
+    return meander_row(L, n)[0]
 
 
 def enumerate_meanders(n, L, i=0, cap=lattice.DEFAULT_CAP):

@@ -16,9 +16,11 @@ are 0-indexed and the height of (f, l) is f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
+from .errors import OutOfLattice
 from .lattice import all_points, count_table, move
-from .motzkin import meander_count_table
+from .motzkin import meander_count_table, meander_row
 
 
 def point_polynomial(z):
@@ -56,6 +58,22 @@ def profile(z, L=None):
     H = L // 2
     poly = point_polynomial(z)
     return tuple(poly[: H + 1])
+
+
+def forward_count(L, start, n):
+    """Length-n forward walks from ``start``: f_n(z) = sum_i p_i(z) * M_n(i).
+
+    M_n(i) counts the meanders of amplitude at most L from height i. By
+    direction-vector independence this is also the number of walks with any
+    direction vector of length n. It costs O(n L) time and one meander row of
+    memory; ``lattice.count_paths`` is its oracle.
+    """
+    z = tuple(start)
+    if len(z) != 3 or sum(z) != L or min(z) < 0:
+        raise OutOfLattice(f"start {z} not in the lattice of side {L}, d=2")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    return sum(map(mul, profile(z), meander_row(L, n)))
 
 
 def cell_representation(z):

@@ -444,15 +444,22 @@ def sample_forward_path(L, n, seed=None, rng=None):
             f"no forward walks of length {n} in a triangle of side {L}"
         ) from None
     z = origin(L)
-    cell = (0, 0)
+    h = 0
     steps = []
     for ch in word.steps:
-        h2 = cell[0] + _HEIGHT_MOVE[ch]
-        options = []
-        for j, w in forward_neighbours(z).items():
-            if min(w) >= 0:
-                options.extend((j, c) for c in cells_at_height(w, h2))
-        j, cell = options[rng.randrange(len(options))]
+        h += _HEIGHT_MOVE[ch]
+        # one draw among the cells at height h of the neighbours, listed by
+        # (j, index); only the neighbour it falls in matters
+        sizes = []
+        for j in (1, 2, 3):
+            w = move(z, j)
+            lo, hi = cell_bounds(w, h)
+            sizes.append((j, w, max(hi - lo + 1, 0) if min(w) >= 0 else 0))
+        pick = rng.randrange(sum(size for _, _, size in sizes))
+        for j, w, size in sizes:
+            if pick < size:
+                break
+            pick -= size
         steps.append(j)
-        z = move(z, j)
+        z = w
     return tuple(steps)

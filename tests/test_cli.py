@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from triwalks import cli
+from triwalks import cli, lattice
 
 
 def run(capsys, *argv):
@@ -304,6 +304,8 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         "pyramid gf --L 3 --terms -1",
         "enumerate motzkin --n -1 --amplitude 3",
         "scaffolding --L -1 --seed 1",
+        "count bicolored --L 3 --p 2 --q -1",
+        "count bicolored --L 3 --p -1 --q 2",
     ],
 )
 def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):
@@ -312,6 +314,15 @@ def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):
     assert code == 1 and human == []
     assert doc["ok"] is False and ">= 0" in doc["error"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bicolored_closed_form_equals_the_interleaving_sum(capsys):
+    for L in range(7):
+        for p in range(11):
+            for q in range(11 - p):
+                argv = ("count", "bicolored", "--L", str(L), "--p", str(p), "--q", str(q))
+                got = run(capsys, *argv)[2]["outputs"]["count"]
+                assert got == str(lattice.count_bicolored_pairs(L, p, q)), (L, p, q)
 
 
 def test_both_gf_commands_share_one_handler(capsys):

@@ -108,6 +108,9 @@ def test_bicolored_pairs():
     assert len(walks) == 4
     assert lattice.count_bicolored_pairs(3, 1, 1) == 4
     assert lattice.count_bicolored_pairs(7, 0, 0) == 1
+    for p, q in ((2, -1), (-1, 2)):
+        with pytest.raises(ValueError, match="need p, q >= 0"):
+            lattice.count_bicolored_pairs(3, p, q)
 
 
 def test_serialization():

@@ -75,6 +75,15 @@ def test_count_by_amplitude():
     assert motzkin.count_paths_by_amplitude(6, 100) == 51
 
 
+def test_meander_row_is_the_last_row_of_the_table():
+    for L in range(0, 14):
+        for n in (0, 1, 2, 7, 60):
+            assert motzkin.meander_row(L, n) == motzkin.meander_count_table(L, n)[n]
+    for L, n in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match=">= 0"):
+            motzkin.meander_row(L, n)
+
+
 def test_amplitude_monotone_and_stabilizes(motzkin_by_amplitude):
     for n in range(8):
         values = [motzkin.count_paths_by_amplitude(n, L) for L in range(n + 2)]

@@ -1,4 +1,9 @@
+import random
+
+import pytest
+
 from triwalks import lattice, motzkin, profiles
+from triwalks.errors import OutOfLattice
 
 from conftest import brute_forward
 
@@ -74,6 +79,33 @@ def test_counts_via_profiles_reduce_to_corner():
         for n in range(7):
             f = lattice.count_paths(L, 2, lattice.origin(L), "F" * n)
             assert f == motzkin.count_paths_by_amplitude(n, L)
+
+
+def test_forward_count_equals_the_dp_past_the_grid():
+    L, n, z = 40, 400, (13, 11, 16)
+    dv = "".join(random.Random(9).choice("FB") for _ in range(n))
+    assert profiles.forward_count(L, z, n) == lattice.count_paths(L, 2, z, dv)
+
+
+def test_forward_count_times_two_to_the_n_is_the_generic_table():
+    L, n = 16, 120
+    want = lattice.generic_table(L, 2, n)
+    assert [profiles.forward_count(L, z, n) << n for z in lattice.all_points(L, 2)] == want
+
+
+@pytest.mark.parametrize("start", [(0, 0, 5), (1, 1, 1, 0), (0, -1, 4), (1, 2)])
+def test_forward_count_checks_the_start_by_bounds(start):
+    lattice._graph.cache_clear()
+    with pytest.raises(OutOfLattice, match=r"not in the lattice of side 3, d=2"):
+        profiles.forward_count(3, start, 2)
+    assert lattice._graph.cache_info().currsize == 0
+
+
+def test_forward_count_rejects_a_negative_length():
+    with pytest.raises(ValueError, match=">= 0"):
+        profiles.forward_count(3, (0, 0, 3), -1)
+    assert profiles.forward_count(0, (0, 0, 0), 0) == 1
+    assert profiles.forward_count(0, (0, 0, 0), 3) == 0
 
 
 def test_report_summary_strings():

@@ -4,6 +4,10 @@ Hypothesis runs under the derandomized profile loaded in ``conftest.py``,
 so every run draws the same examples.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -11,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import brute_generic  # noqa: E402
-from triwalks import flips, lattice, motzkin, pyramid3d  # noqa: E402
+from triwalks import cli, flips, lattice, motzkin, pyramid3d  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
 
 
@@ -22,6 +26,17 @@ from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa:
 )
 def test_count_table_independent_of_direction_vector(d, L, dv):
     assert lattice.count_table(L, d, dv) == lattice.count_table(L, d, "F" * len(dv))
+
+
+@given(data=st.data(), L=st.integers(0, 12), dv=st.text(alphabet="FB", max_size=40))
+def test_cli_triangular_count_equals_the_dp(data, L, dv):
+    z = data.draw(st.sampled_from(lattice.all_points(L, 2)))
+    argv = ["count", "triangular", "--L", str(L), "--start", lattice.format_point(z)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--dv", dv]) == 0
+    doc = json.loads(out.getvalue().splitlines()[-1])
+    assert doc["outputs"]["count"] == str(lattice.count_paths(L, 2, z, dv))
 
 
 @settings(max_examples=20)

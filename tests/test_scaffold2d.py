@@ -260,6 +260,28 @@ def test_sample_forward_path_empirical_distribution():
         assert abs(c - expected) < 6 * expected**0.5
 
 
+def _sample_by_listing_every_cell(L, n, seed):
+    """Reference sampler: lists every neighbour cell at each letter's height."""
+    rng = random.Random(seed)
+    word = motzkin.uniform_sample(n, L, rng=rng)
+    z, steps = lattice.origin(L), []
+    for h in word.heights()[1:]:
+        options = [(j, c) for j, w in lattice.forward_neighbours(z).items() if min(w) >= 0
+                   for c in profiles.cells_at_height(w, h)]
+        j, _ = options[rng.randrange(len(options))]
+        steps.append(j)
+        z = lattice.move(z, j)
+    return tuple(steps)
+
+
+def test_sample_forward_path_makes_the_draws_of_the_cell_list():
+    for L in (1, 2, 5, 12, 25):
+        for seed in range(3):
+            assert scaffold2d.sample_forward_path(L, 200, seed=seed) == (
+                _sample_by_listing_every_cell(L, 200, seed)
+            )
+
+
 def _nine_candidate_preimages(scaf, z, cell):
     """Reference inverse at one output cell, for every tag j at once.
 
