@@ -2,8 +2,8 @@
 the 3d scaffolding, and end-to-end timings of large ``count`` commands,
 written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_9.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_9.json
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_10.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_10.json
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
@@ -88,10 +88,13 @@ def rows():
     n, L = 4_000, 12
     z = (0, 0, 0, L)
     walk = waffle_walk(L, n, seed=1)
-    out.append(("waffle_to_pyramid",
-                {"n": n, "L": L, "point": list(z), "cell": [0, 0],
-                 "walk": "bench.micro.waffle_walk(L, n, seed=1)"},
+    params = {"n": n, "L": L, "point": list(z), "cell": [0, 0],
+              "walk": "bench.micro.waffle_walk(L, n, seed=1)"}
+    out.append(("waffle_to_pyramid", params,
                 best_of(pyramid3d.waffle_to_pyramid, z, (0, 0), walk)))
+    path = pyramid3d.waffle_to_pyramid(z, (0, 0), walk)
+    out.append(("pyramid_to_waffle", {**params, "path": "waffle_to_pyramid(point, cell, walk)"},
+                best_of(pyramid3d.pyramid_to_waffle, z, path)))
 
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))

@@ -328,9 +328,9 @@ OPERATION_COVERAGE = {
     "omega.forward_to_motzkin_exp": "map --method omega",
     "pyramid3d.count_pyramid_paths": "pyramid count",
     "pyramid3d.count_waffle_walks": "count waffle",
-    "pyramid3d.profile3d": "pyramid map",
-    "pyramid3d.anchor": "pyramid map",
-    "pyramid3d.diamond_delta": "pyramid map",
+    "pyramid3d.profile3d": "verify --suite pyramid",
+    "pyramid3d.anchor": "verify --suite pyramid",
+    "pyramid3d.diamond_delta": "verify --suite pyramid",
     "pyramid3d.waffle_to_pyramid": "pyramid map",
     "pyramid3d.pyramid_gf_coefficients": "gf",
     "pyramid3d.reflection_count": "verify --suite pyramid",

@@ -15,18 +15,24 @@ an injection into W_L. A scaffolding maps (cell, cardinal step) pairs to
 (forward pyramid step, cell) pairs so that anchors track the walk exactly;
 running it turns a waffle walk into a pyramid walk of the same length.
 
-The explicit scaffolding used here matches, anchor by anchor: the inputs
-aimed at a target anchor t correspond to the anchored neighbours of t in
-W(z), the outputs at t to the neighbours z + s_j whose grid reaches t, and
-the two lists always have the same length; pairing them in a fixed order
-(N, E, S, W against s_1 < s_2 < s_3 < s_4) defines the bijection. The
-pointwise certificate in ``validate_scaffolding3d`` is the correctness
-argument.
+The explicit scaffolding used here is a closed form on a 2x2 block of
+cells. With t the target anchor and c = x1 + x3, put
+p0 = (t_i - c + t_j - 1)/2 and q0 = (t_j - t_i + c - 1)/2. The inputs
+aimed at t are the steps N, E, S, W from the cells (p0, q0), (p0, q0+1),
+(p0+1, q0+1), (p0+1, q0), kept when inside C(z). The outputs at t are
+(p0, q0+1) in z + s_1 and in z + s_3 and (p0+1, q0) in z + s_2 and in
+z + s_4, kept when that cell is in the neighbour's grid (a neighbour
+outside the pyramid has none). There are as many kept inputs as kept
+outputs; the input of rank r in the order N, E, S, W goes to the output of
+rank r in the order s_1 < s_2 < s_3 < s_4, and the inverse reads the same
+block back. A letter costs a few bound comparisons. The pointwise
+certificate in ``validate_scaffolding3d`` is the correctness argument.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -150,15 +156,6 @@ def anchor(z, cell):
     return (x1 + x3 + p - q, p + q)
 
 
-def anchor_cell(z, pt):
-    """The cell of z anchored at ``pt``, or None."""
-    di = pt[0] - z[0] - z[2]
-    if (di + pt[1]) % 2:
-        return None
-    cell = ((di + pt[1]) // 2, (pt[1] - di) // 2)
-    return cell if _has_cell(z, cell) else None
-
-
 def anchored_region(z):
     return [anchor(z, c) for c in profile3d(z)]
 
@@ -171,53 +168,106 @@ def allowed_cardinal(z, cell, L):
     )
 
 
-def _local_lists(z, target, L):
-    """Incoming (step, cell) pairs aimed at ``target`` and usable exits."""
-    ins = []
-    for s in CARDINAL_ORDER:
-        d = CARDINAL[s]
-        src = (target[0] - d[0], target[1] - d[1])
-        c = anchor_cell(z, src)
-        if c is not None:
-            ins.append((s, c))
-    outs = []
-    for j, w in lattice.forward_neighbours(z).items():
-        if min(w) >= 0:
-            c = anchor_cell(w, target)
-            if c is not None:
-                outs.append((j, c))
+# each input step: its index in the order N, E, S, W and the offset (dp, dq)
+# of its cell from the block's corner (p0, q0)
+_INPUT_CELL = {"N": (0, 0, 0), "E": (1, 0, 1), "S": (2, 1, 1), "W": (3, 1, 0)}
+_FORWARD = (1, 2, 3, 4)
+
+
+def _block(z, p0, q0):
+    """Kept inputs (N, E, S, W) and outputs (s_1 .. s_4) of the block at (p0, q0).
+
+    Each is a flag: an input is kept when its cell is in C(z), an output when
+    its cell is in C(z + s_j), whose bounds are those of C(z) with the two
+    coordinates that s_j changes moved by one; written without ``min``.
+    """
+    x1, x2, x3, x4 = z
+    p1, q1 = p0 + 1, q0 + 1
+    a0 = 0 <= p0 <= x2 and p0 <= x4
+    a1 = 0 <= p1 <= x2 and p1 <= x4
+    b0 = 0 <= q0 <= x1 and q0 <= x3
+    b1 = 0 <= q1 <= x1 and q1 <= x3
+    ins = (a0 and b0, a0 and b1, a1 and b1, a1 and b0)
+    outs = (
+        0 <= p0 <= x2 and p0 < x4 and 0 <= q1 <= x3 and q0 <= x1,
+        0 <= p1 <= x4 and p0 <= x2 and 0 <= q0 < x1 and q0 <= x3,
+        0 <= p0 < x2 and p0 <= x4 and 0 <= q1 <= x1 and q0 <= x3,
+        0 <= p1 <= x2 and p0 <= x4 and 0 <= q0 <= x1 and q0 < x3,
+    )
     return ins, outs
 
 
+# every pair of four-flag tuples with as many kept entries, keyed by their
+# concatenation, to the map from each kept index of the first to the kept
+# index of the same rank in the second
+_SAME_RANK = {
+    key: dict(zip(itertools.compress(range(4), key[:4]), itertools.compress(range(4), key[4:])))
+    for key in itertools.product((False, True), repeat=8)
+    if sum(key[:4]) == sum(key[4:])
+}
+
+
+def _same_rank(z, src, dst):
+    """The rank pairing of ``src`` onto ``dst``; only asked for a target anchor
+    inside the waffle, where both sides keep the same number of cells."""
+    pairing = _SAME_RANK.get(src + dst)
+    if pairing is None:
+        raise AssertionError(f"anchor class mismatch at z={z}: {src} against {dst}")
+    return pairing
+
+
 def diamond_delta(z, cell, step):
-    """One scaffolding lookup: (cell, cardinal step) to (pyramid step, cell)."""
-    L = sum(z)
+    """One scaffolding lookup: (cell, cardinal step) to (pyramid step, cell).
+
+    The step places ``cell`` in the 2x2 block aimed at its target anchor;
+    its rank among the block's kept inputs picks the kept output of the
+    same rank: (p0, q0+1) after s_1 or s_3, (p0+1, q0) after s_2 or s_4.
+    """
     if not _has_cell(z, cell):
         raise NotAllowed(f"cell {cell} not in C({z})")
-    a = anchor(z, cell)
-    d = CARDINAL[step]
-    target = (a[0] + d[0], a[1] + d[1])
-    if not in_waffle(target, L):
-        raise NotAllowed(f"step {step} leaves the waffle from {a}")
-    ins, outs = _local_lists(z, target, L)
-    if len(ins) != len(outs):
-        raise AssertionError(f"anchor class mismatch at z={z}, target={target}")
-    return outs[ins.index((step, cell))]
+    return _lookup(z, cell, step)
+
+
+def _lookup(z, cell, step):
+    """``diamond_delta`` for a cell known to be in C(z)."""
+    p, q = cell
+    di, dj = CARDINAL[step]
+    if not in_waffle((z[0] + z[2] + p - q + di, p + q + dj), sum(z)):
+        raise NotAllowed(f"step {step} leaves the waffle from {anchor(z, cell)}")
+    k, dp, dq = _INPUT_CELL[step]
+    p0, q0 = p - dp, q - dq
+    ins, outs = _block(z, p0, q0)
+    j = _same_rank(z, ins, outs)[k] + 1
+    return j, ((p0, q0 + 1) if j % 2 else (p0 + 1, q0))
 
 
 def diamond_delta_inv(z, j, cell):
-    """Preimage (cell, cardinal step) of a tagged output cell."""
-    target = anchor(lattice.move(z, j), cell)
-    L = sum(z)
-    ins, outs = _local_lists(z, target, L)
-    if (j, cell) not in outs:
+    """Preimage (cell, cardinal step) of a tagged output cell.
+
+    ``cell`` in C(z + s_j) fixes the block: it is (p0, q0+1) for odd j and
+    (p0+1, q0) for even j. The output's rank among the kept outputs picks
+    the kept input of the same rank.
+    """
+    if j not in _FORWARD:
         raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
-    s, c = ins[outs.index((j, cell))]
-    return c, s
+    p, q = cell
+    p0, q0 = (p, q - 1) if j % 2 else (p - 1, q)
+    ins, outs = _block(z, p0, q0)
+    if not outs[j - 1]:
+        raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
+    s = CARDINAL_ORDER[_same_rank(z, outs, ins)[j - 1]]
+    _, dp, dq = _INPUT_CELL[s]
+    return (p0 + dp, q0 + dq), s
 
 
 def validate_scaffolding3d(L):
-    """Pointwise certificate: bijectivity and anchor tracking everywhere."""
+    """Pointwise certificate: bijectivity and anchor tracking everywhere.
+
+    At every point and every allowed (cell, step), the closed form must move
+    the anchor by the step, hit no (j, cell) twice, and be undone by
+    ``diamond_delta_inv``; the images at z must be exactly the cells of the
+    neighbours z + s_j inside the pyramid, listed here from ``profile3d``.
+    """
     rep = CheckResult(f"3d scaffolding valid, L={L}")
     for z in pyramid_points(L):
         targets = set()
@@ -236,6 +286,8 @@ def validate_scaffolding3d(L):
                     rep.violations.append((z, cell, s, "anchor rule"))
                 if (j, cell2) in seen:
                     rep.violations.append((z, cell, s, "collision"))
+                if diamond_delta_inv(z, j, cell2) != (cell, s):
+                    rep.violations.append((z, cell, s, "inverse"))
                 seen.add((j, cell2))
         if seen != targets:
             rep.violations.append((z, "image mismatch"))
@@ -249,7 +301,6 @@ def waffle_to_pyramid(z_c, start_cell, walk):
     For a fixed starting point the map (cell, walk) -> pyramid walk is a
     bijection onto the forward walks of that length.
     """
-    L = sum(z_c)
     z, cell = tuple(z_c), tuple(start_cell)
     if not _has_cell(z, cell):
         raise InvalidWalk(f"cell {cell} not in C({z})")
@@ -258,7 +309,7 @@ def waffle_to_pyramid(z_c, start_cell, walk):
         if ch not in CARDINAL:
             raise InvalidWalk(f"bad letter {ch!r}")
         try:
-            j, cell = diamond_delta(z, cell, ch)
+            j, cell = _lookup(z, cell, ch)  # each output cell is in C(z + s_j)
         except NotAllowed as exc:
             raise InvalidWalk(str(exc)) from None
         steps.append(j)
@@ -267,16 +318,25 @@ def waffle_to_pyramid(z_c, start_cell, walk):
 
 
 def pyramid_to_waffle(z_c, steps):
-    """Inverse of ``waffle_to_pyramid``: recover (start cell, walk)."""
+    """Inverse of ``waffle_to_pyramid``: recover (start cell, walk).
+
+    The checking pass keeps the point before each step, and the backward
+    pass reads them back instead of moving again.
+    """
     z = tuple(z_c)
+    if len(z) != 4 or min(z) < 0:
+        raise InvalidWalk(f"start {z} is not a pyramid point")
+    before = []
     for s in steps:
+        if s not in _FORWARD:
+            raise InvalidWalk(f"bad step {s!r}: a pyramid walk takes forward steps 1-4")
+        before.append(z)
         z = lattice.move(z, s)
         if min(z) < 0:
             raise InvalidWalk("walk leaves the pyramid")
     cell = (0, 0)
     letters = []
-    for s in reversed(steps):
-        z = lattice.move(z, -s)
+    for z, s in zip(reversed(before), reversed(steps)):
         cell, ch = diamond_delta_inv(z, s, cell)
         letters.append(ch)
     return cell, "".join(reversed(letters))

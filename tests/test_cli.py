@@ -238,6 +238,43 @@ def test_every_operation_is_reachable():
     assert covered == subcommands
 
 
+# a small run of each command named by a pyramid3d row of the coverage table
+PYRAMID_ROW_ARGVS = {
+    "pyramid count": "pyramid count --L 3 --n 4",
+    "count waffle": "count waffle --L 3 --n 4",
+    "pyramid map": "pyramid map --L 4 --cell 0,0 --walk ENSWEENS",
+    "gf": "gf --L 3 --terms 5",
+    "verify --suite pyramid": "verify --suite pyramid --max-L 2 --max-n 2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PYRAMID_ROW_ARGVS))
+def test_pyramid_rows_are_reached_by_their_command(command, capsys):
+    # run the command under sys.setprofile and record which pyramid3d
+    # functions it calls: every row naming this command must be among them
+    import sys
+
+    from triwalks import pyramid3d
+
+    tags = {k: v for k, v in cli.OPERATION_COVERAGE.items() if k.startswith("pyramid3d.")}
+    assert set(tags.values()) == set(PYRAMID_ROW_ARGVS)
+    names = {k.split(".", 1)[1] for k, v in tags.items() if v == command}
+    codes = {getattr(pyramid3d, name).__code__: name for name in names}
+    reached = set()
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            reached.add(codes[frame.f_code])
+
+    sys.setprofile(profiler)
+    try:
+        code = cli.main(PYRAMID_ROW_ARGVS[command].split())
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr()
+    assert reached == names
+
+
 def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, human, doc = run(capsys, "scaffolding", "--L", "4", "--seed", "11")

@@ -125,6 +125,39 @@ def test_trace_replays_to_transform(case):
     assert tuple(cur) == image
 
 
+@st.composite
+def waffle_walks(draw, min_size=50, max_size=500):
+    """(z, cell, walk): a pyramid point of side 1 <= L <= 12, a cell of C(z),
+    and a waffle walk from the cell's anchor that ends on the axis, each
+    letter picked among the steps that stay inside and leave the axis in
+    reach."""
+    L = draw(st.integers(1, 12))
+    z = draw(st.sampled_from(pyramid3d.pyramid_points(L)))
+    cell = draw(st.sampled_from(pyramid3d.profile3d(z)))
+    n = draw(st.integers(min_size, max_size))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    (i, j), letters = pyramid3d.anchor(z, cell), []
+    for left, pick in zip(range(n - 1, -1, -1), picks):
+        options = []
+        for s in pyramid3d.CARDINAL_ORDER:
+            di, dj = pyramid3d.CARDINAL[s]
+            if j + dj <= left and pyramid3d.in_waffle((i + di, j + dj), L):
+                options.append((s, i + di, j + dj))
+        s, i, j = options[pick % len(options)]
+        letters.append(s)
+    return z, cell, "".join(letters)
+
+
+@settings(max_examples=30)
+@given(waffle_walks())
+def test_waffle_pyramid_round_trip(case):
+    z, cell, walk = case
+    path = pyramid3d.waffle_to_pyramid(z, cell, walk)
+    assert len(path) == len(walk) and all(s > 0 for s in path)
+    lattice.validate_path(sum(z), 3, z, path)
+    assert pyramid3d.pyramid_to_waffle(z, path) == (cell, walk)
+
+
 # one materialized scaffolding, built once at import
 RANDOM_SCAFFOLDING = RandomScaffolding(9, seed=8)
 

@@ -13,6 +13,67 @@ def brute_pyramid(L, start, n):
     return pyramid3d.enumerate_pyramid_paths(L, start, n)
 
 
+# -- the list pairing that the 2x2-block closed form replaced, kept as its
+# oracle: list the inputs aimed at the target anchor and the usable exits,
+# and pair them in the orders N < E < S < W and s_1 < s_2 < s_3 < s_4
+
+def anchor_cell(z, pt):
+    """The cell of z anchored at ``pt``, or None."""
+    di = pt[0] - z[0] - z[2]
+    if (di + pt[1]) % 2:
+        return None
+    cell = ((di + pt[1]) // 2, (pt[1] - di) // 2)
+    return cell if pyramid3d._has_cell(z, cell) else None
+
+
+def local_lists(z, target):
+    """Incoming (step, cell) pairs aimed at ``target`` and usable exits."""
+    ins = []
+    for s in pyramid3d.CARDINAL_ORDER:
+        d = pyramid3d.CARDINAL[s]
+        c = anchor_cell(z, (target[0] - d[0], target[1] - d[1]))
+        if c is not None:
+            ins.append((s, c))
+    outs = []
+    for j, w in lattice.forward_neighbours(z).items():
+        if min(w) >= 0:
+            c = anchor_cell(w, target)
+            if c is not None:
+                outs.append((j, c))
+    return ins, outs
+
+
+def list_delta(z, cell, step):
+    L = sum(z)
+    if not pyramid3d._has_cell(z, cell):
+        raise NotAllowed(f"cell {cell} not in C({z})")
+    a = pyramid3d.anchor(z, cell)
+    d = pyramid3d.CARDINAL[step]
+    target = (a[0] + d[0], a[1] + d[1])
+    if not pyramid3d.in_waffle(target, L):
+        raise NotAllowed(f"step {step} leaves the waffle from {a}")
+    ins, outs = local_lists(z, target)
+    assert len(ins) == len(outs)
+    return outs[ins.index((step, cell))]
+
+
+def list_delta_inv(z, j, cell):
+    target = pyramid3d.anchor(lattice.move(z, j), cell)
+    ins, outs = local_lists(z, target)
+    if (j, cell) not in outs:
+        raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
+    s, c = ins[outs.index((j, cell))]
+    return c, s
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (NotAllowed, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def test_waffle_membership():
     assert pyramid3d.in_waffle((0, 0), 4)
     assert pyramid3d.in_waffle((2, 2), 4)
@@ -107,7 +168,7 @@ def test_profile3d_and_anchor():
     L = sum(z)
     assert all(pyramid3d.in_waffle(pt, L) for pt in region)
     for c in cells:
-        assert pyramid3d.anchor_cell(z, pyramid3d.anchor(z, c)) == c
+        assert anchor_cell(z, pyramid3d.anchor(z, c)) == c
     # corner: the single cell anchors at the origin
     corner = (0, 0, 0, 5)
     assert pyramid3d.profile3d(corner) == [(0, 0)]
@@ -138,6 +199,34 @@ def test_diamond_delta_rejects_bad_input():
         pyramid3d.diamond_delta((0, 0, 0, 3), (1, 1), "N")
     with pytest.raises(NotAllowed):
         pyramid3d.diamond_delta((0, 0, 0, 3), (0, 0), "S")
+
+
+def test_closed_form_equals_the_list_pairing():
+    # every pyramid point up to L = 10, every cell in a box one wider than
+    # C(z) and C(z + s_j), every letter and forward step, errors included;
+    # a backward step has no preimage whatever the cell
+    forward = inverse = 0
+    for L in range(11):
+        for z in pyramid3d.pyramid_points(L):
+            x1, x2, x3, x4 = z
+            for p in range(-1, min(x2, x4) + 3):
+                for q in range(-1, min(x1, x3) + 3):
+                    cell = (p, q)
+                    for s in pyramid3d.CARDINAL_ORDER:
+                        forward += 1
+                        assert outcome(pyramid3d.diamond_delta, z, cell, s) == (
+                            outcome(list_delta, z, cell, s)), (z, cell, s)
+                    for j in (1, 2, 3, 4):
+                        inverse += 1
+                        assert outcome(pyramid3d.diamond_delta_inv, z, j, cell) == (
+                            outcome(list_delta_inv, z, j, cell)), (z, j, cell)
+            for j in (-1, -2, -3, -4):
+                assert outcome(pyramid3d.diamond_delta_inv, z, j, (0, 0)) == (
+                    outcome(list_delta_inv, z, j, (0, 0)))
+    assert forward == inverse == 90_972
+    for bad in ((), (0, 0, 0)):
+        assert outcome(pyramid3d.diamond_delta, (1, 1, 1, 1), bad, "N") == (
+            outcome(list_delta, (1, 1, 1, 1), bad, "N"))
 
 
 def test_waffle_to_pyramid_round_trip_small():
@@ -178,6 +267,21 @@ def test_waffle_to_pyramid_errors():
     with pytest.raises(InvalidWalk):
         pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "S")
     assert pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "") == ()
+
+
+def test_pyramid_to_waffle_errors():
+    # a backward step that stays inside the pyramid is still no pyramid walk
+    with pytest.raises(InvalidWalk, match=r"bad step -2: .* forward steps"):
+        pyramid3d.pyramid_to_waffle((0, 1, 0, 1), (-2,))
+    for steps in ((0,), (5,), (1, -3), ("1",)):
+        with pytest.raises(InvalidWalk, match="bad step"):
+            pyramid3d.pyramid_to_waffle((0, 1, 0, 1), steps)
+    with pytest.raises(InvalidWalk, match="leaves the pyramid"):
+        pyramid3d.pyramid_to_waffle((0, 0, 0, 2), (2,))
+    for start in ((-1, 0, 0, 2), (0, 0, 2)):
+        with pytest.raises(InvalidWalk, match="not a pyramid point"):
+            pyramid3d.pyramid_to_waffle(start, ())
+    assert pyramid3d.pyramid_to_waffle((0, 0, 0, 2), ()) == ((0, 0), "")
 
 
 def test_zone_partition_golden():
