@@ -2,8 +2,8 @@
 the 3d scaffolding, and end-to-end timings of large ``count`` commands,
 written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_10.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_10.json
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_11.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_11.json
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
@@ -41,16 +41,17 @@ def best_of(fn, *args):
 
 
 def waffle_walk(L, n, seed):
-    """A walk of n letters inside the waffle of side L from (0, 0), each
-    step drawn uniformly among the cardinal steps that stay inside."""
+    """A walk of n letters inside the waffle of side L from (0, 0) to the
+    axis j = 0, each step drawn uniformly among the cardinal steps that stay
+    inside and leave no more height than letters left."""
     rng = random.Random(seed)
     pt, letters = (0, 0), []
-    for _ in range(n):
+    for left in reversed(range(n)):
         options = []
         for s in pyramid3d.CARDINAL_ORDER:
             dx, dy = pyramid3d.CARDINAL[s]
             nxt = (pt[0] + dx, pt[1] + dy)
-            if pyramid3d.in_waffle(nxt, L):
+            if pyramid3d.in_waffle(nxt, L) and nxt[1] <= left:
                 options.append((s, nxt))
         s, pt = options[rng.randrange(len(options))]
         letters.append(s)
@@ -62,6 +63,9 @@ COUNT_ARGVS = [
     "count triangular --L 40 --n 2000",
     "count bicolored --L 4 --p 7 --q 7",
     "count motzkin --n 6000 --amplitude 40",
+    "count triangular --d 3 --L 30 --n 400",
+    "count pyramid --L 30 --n 400 --start 7,8,9,6",
+    "count waffle --L 30 --n 400",
 ]
 
 

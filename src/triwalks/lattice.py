@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add
+from operator import add, itemgetter
 
 from .errors import BadDirectionVector, CapExceeded, OutOfLattice
 
@@ -79,18 +79,32 @@ def all_points(L, d=2):
 
 
 def neighbour_rows(pts, moves):
-    """Index of ``pts``, and per point the positions of its neighbours in ``pts``."""
+    """Index of ``pts``, and one gather per move for ``sweep``.
+
+    The gather of move v is an ``operator.itemgetter`` that reads, for every
+    point z of ``pts`` in order, the count at z + v; a neighbour outside
+    ``pts`` reads position ``len(pts)``, the zero pad that ``sweep`` appends.
+    """
     index = {z: k for k, z in enumerate(pts)}
-    rows = tuple(
-        tuple(index[q] for q in (tuple(map(add, z, v)) for v in moves) if q in index)
-        for z in pts
+    pad = len(pts)
+    gathers = tuple(
+        _gather([index.get(tuple(map(add, z, v)), pad) for z in pts]) for v in moves
     )
-    return index, rows
+    return index, gathers
+
+
+def _gather(positions):
+    """``itemgetter(*positions)``, which returns a tuple for any length: with
+    fewer than two positions itemgetter would return a bare value or fail, so
+    those read a slice instead."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 @functools.lru_cache(maxsize=4)
 def _graph(L, d):
-    """Point index and neighbour rows per step family: F, B, and G for both.
+    """Point index and neighbour gathers per step family: F, B, and G for both.
 
     Points are indexed lexicographically by coordinates. Cached per lattice;
     it holds structure only, never a count. A few entries suffice, because
@@ -102,13 +116,19 @@ def _graph(L, d):
     for ch, sign in (("F", 1), ("B", -1)):
         moves = [step_vector(sign * j, d) for j in range(1, d + 2)]
         index, fam[ch] = neighbour_rows(pts, moves)
-    fam["G"] = tuple(f + b for f, b in zip(fam["F"], fam["B"]))
+    fam["G"] = fam["F"] + fam["B"]
     return index, fam
 
 
-def sweep(counts, rows):
-    """One backwards DP step: the new count at k sums the counts over row k."""
-    return [sum([counts[k] for k in row]) for row in rows]
+def sweep(counts, gathers):
+    """One backwards DP step: the new count at point k is the sum, over the
+    moves, of the count at the k-th neighbour that each gather reads."""
+    padded = [*counts, 0]
+    first, *rest = gathers
+    total = first(padded)
+    for gather in rest:
+        total = map(add, total, gather(padded))
+    return list(total)
 
 
 def point_index(L, d, start):

@@ -70,6 +70,24 @@ def count_pyramid_paths(L, n, start, orientation="F"):
     return lattice.count_paths(L, 3, start, orientation * n)
 
 
+def forward_count(L, z, n):
+    """Length-n forward walks from ``z``, by the cell sum
+
+        p_n(z) = sum over the cells c of C(z) of W_n(h_z(c)),
+
+    the counting form of the 3d scaffolding, which from every start is a
+    bijection from (cell, axis-ending waffle walk) pairs onto forward walks.
+    By direction-vector independence this is also the number of walks with
+    any direction vector of length n, backward walks included. One waffle
+    sweep, O(n L^2); ``count_pyramid_paths`` is its oracle.
+    """
+    lattice.point_index(L, 3, z)  # the DP's OutOfLattice for a start off the pyramid
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    index, counts = _waffle_table(L, n, _on_axis)
+    return sum(counts[index[anchor(z, c)]] for c in profile3d(z))
+
+
 def paired_start_point(L, i, j):
     """The pyramid point paired with waffle position (i, j)."""
     return (i - j, j, 0, L - i)
@@ -77,7 +95,7 @@ def paired_start_point(L, i, j):
 
 @functools.lru_cache(maxsize=4)
 def _waffle_graph(L):
-    """Waffle point index and in-waffle neighbour rows (N, E, S, W)."""
+    """Waffle point index and the in-waffle neighbour gathers (N, E, S, W)."""
     pts = [(i, j) for i in range(L + 1) for j in range(L // 2 + 1) if in_waffle((i, j), L)]
     return lattice.neighbour_rows(pts, CARDINAL.values())
 
@@ -88,19 +106,30 @@ def _check_walk(L, n, start):
     _check_waffle_point(start, L)
 
 
+def _waffle_table(L, n, ends):
+    """Point index, and the walks of length n from every waffle point that
+    end at a point where ``ends`` holds."""
+    index, gathers = _waffle_graph(L)
+    counts = [int(ends(pt)) for pt in index]
+    for _ in range(n):
+        counts = lattice.sweep(counts, gathers)
+    return index, counts
+
+
+def _on_axis(pt):
+    return pt[1] == 0
+
+
 def _waffle_count(L, n, start, ends):
     """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
     _check_walk(L, n, start)
-    index, rows = _waffle_graph(L)
-    counts = [int(ends(pt)) for pt in index]
-    for _ in range(n):
-        counts = lattice.sweep(counts, rows)
+    index, counts = _waffle_table(L, n, ends)
     return counts[index[tuple(start)]]
 
 
 def count_waffle_walks(L, n, start):
     """Walks of length n inside the waffle from ``start`` ending on the axis."""
-    return _waffle_count(L, n, start, lambda pt: pt[1] == 0)
+    return _waffle_count(L, n, start, _on_axis)
 
 
 def count_waffle_walks_to(L, n, start, end=(0, 0)):
@@ -121,11 +150,11 @@ def signed_waffle_array(L, n_max):
     counts where i + j <= L and obeys w[n][i][j] = -w[n][L+1-j][L+1-i].
     """
     idx = [(i, j) for i in range(L + 2) for j in range(i + 1)]
-    _, rows = lattice.neighbour_rows(idx, CARDINAL.values())
+    _, gathers = lattice.neighbour_rows(idx, CARDINAL.values())
     w = [int(i <= L) if j == 0 else -int(i == L + 1) for i, j in idx]
     out = [dict(zip(idx, w))]
     for _ in range(n_max):
-        w = lattice.sweep(w, rows)
+        w = lattice.sweep(w, gathers)
         out.append(dict(zip(idx, w)))
     return out
 
@@ -297,9 +326,10 @@ def validate_scaffolding3d(L):
 def waffle_to_pyramid(z_c, start_cell, walk):
     """Run the scaffolding along a waffle walk; one pyramid step per letter.
 
-    ``walk`` is a string over NESW starting at the anchor of ``start_cell``.
-    For a fixed starting point the map (cell, walk) -> pyramid walk is a
-    bijection onto the forward walks of that length.
+    ``walk`` is a string over NESW starting at the anchor of ``start_cell``
+    and ending on the axis j = 0. For a fixed starting point the map
+    (cell, walk) -> pyramid walk is a bijection onto the forward walks of
+    that length; a walk ending off the axis is outside its domain.
     """
     z, cell = tuple(z_c), tuple(start_cell)
     if not _has_cell(z, cell):
@@ -314,6 +344,8 @@ def waffle_to_pyramid(z_c, start_cell, walk):
             raise InvalidWalk(str(exc)) from None
         steps.append(j)
         z = lattice.move(z, j)
+    if sum(cell):  # the anchor's height j is p + q
+        raise InvalidWalk(f"walk ends at {anchor(z, cell)}, off the axis j = 0")
     return tuple(steps)
 
 

@@ -133,6 +133,64 @@ def test_pyramid_map_cell_of_the_wrong_length_is_one_error_document(capsys):
     assert doc["error"] == "cell (0, 0, 0) not in C((0, 0, 0, 3))"
 
 
+def test_pyramid_map_walk_ending_off_the_axis_is_one_error_document(capsys):
+    # "EN" ends at (1, 1); before the axis check it mapped to "s1 s2", the
+    # image of "EW"
+    code = cli.main(["pyramid", "map", "--L", "4", "--walk", "EN"])
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code == 1 and len(out) == 1
+    doc = json.loads(out[0])
+    assert doc["ok"] is False and doc["error"] == "walk ends at (1, 1), off the axis j = 0"
+
+
+def test_counts_in_3d_are_the_dp(capsys):
+    # count generic --d 3 is the cell sum times 2^n, count triangular --d 3
+    # the cell sum for any direction vector; both against the DP
+    def count(*argv):
+        return run(capsys, *argv)[2]["outputs"]["count"]
+
+    for L in range(6):
+        for z in lattice.all_points(L, 3):
+            start = lattice.format_point(z)
+            for n in range(6):
+                got = count("count", "generic", "--d", "3", "--L", str(L), "--n", str(n),
+                            "--start", start)
+                assert got == str(lattice.count_generic(L, 3, z, n)), (L, z, n)
+            for dv in ("", "B", "FB", "BBF", "FBFFB"):
+                got = count("count", "triangular", "--d", "3", "--L", str(L), "--dv", dv,
+                            "--start", start)
+                assert got == str(lattice.count_paths(L, 3, z, dv)), (L, z, dv)
+            got = count("count", "pyramid", "--L", str(L), "--n", "5", "--start", start,
+                        "--orientation", "B")
+            assert got == str(lattice.count_paths(L, 3, z, "BBBBB")), (L, z)
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    # a bad command line, a good one and --help give what a fresh parser gives
+    argvs = [["count", "--n", "x"], ["count", "pyramid", "--L", "3", "--n", "5"], ["--help"]]
+
+    def outcome(argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        if lines and lines[-1].startswith("{"):
+            doc = json.loads(lines[-1])
+            doc.pop("timing", None)
+            lines[-1] = doc
+        return code, lines, err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli.build_parser.cache_clear()
+    reused = [outcome(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+
+
 def test_verify_subcommand(capsys):
     code, human, doc = run(capsys, "verify", "--suite", "profiles", "--max-L", "4",
                            "--max-n", "4")
@@ -155,6 +213,8 @@ def test_error_reporting(capsys):
         "count triangular --L 3 --start 1,1,1,0",
         "count generic --L 3 --n 2 --start 0,0,5",
         "count pyramid --L 2 --start 0,0,0,5",
+        "count triangular --d 3 --L 3 --start 0,0,5",
+        "count generic --d 3 --L 3 --n 2 --start 0,0,0,5",
     ],
 )
 def test_off_lattice_start_is_one_error_document(capsys, argv):
@@ -167,6 +227,7 @@ def test_off_lattice_start_is_one_error_document(capsys, argv):
     "argv",
     [
         "count triangular --L 3 --dv FX",
+        "count triangular --d 3 --L 3 --dv FX",
         "enumerate triangular --L 3 --dv FQ",
     ],
 )
@@ -275,6 +336,38 @@ def test_pyramid_rows_are_reached_by_their_command(command, capsys):
     assert reached == names
 
 
+# the DP rows that the served counts no longer reach, with a small run of the
+# command each is tagged with
+DP_ROW_ARGVS = {
+    "lattice.count_paths": "verify --suite counts --max-L 2 --max-n 2",
+    "lattice.count_generic": "count generic --d 4 --L 2 --n 2",
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(DP_ROW_ARGVS))
+def test_dp_rows_are_reached_by_their_command(dotted, capsys):
+    import sys
+
+    from triwalks import lattice as lattice_module
+
+    argv = DP_ROW_ARGVS[dotted]
+    assert argv.startswith(cli.OPERATION_COVERAGE[dotted] + " ")
+    code_obj = getattr(lattice_module, dotted.split(".")[1]).__code__
+    reached = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is code_obj:
+            reached.append(dotted)
+
+    sys.setprofile(profiler)
+    try:
+        code = cli.main(argv.split())
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr()
+    assert reached
+
+
 def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, human, doc = run(capsys, "scaffolding", "--L", "4", "--seed", "11")
@@ -336,6 +429,8 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         "count pyramid --L 2 --n -3",
         "count waffle --L 2 --n -1",
         "count triangular --L 3 --n -2",
+        "count generic --d 3 --L 3 --n -2",
+        "count triangular --d 3 --L 3 --n -2",
         "gf --L -1 --terms 3",
         "gf --L 3 --terms -1",
         "pyramid gf --L 3 --terms -1",

@@ -3,6 +3,8 @@ large sizes."""
 
 import json
 import pathlib
+import random
+from operator import add
 
 import pytest
 
@@ -130,3 +132,69 @@ def test_waffle_counts_share_the_kernel():
         assert pyramid3d.count_waffle_walks(L, n, (i, j)) == p - q
     assert pyramid3d.count_waffle_walks_to(L, 0, (0, 0)) == 1
     assert pyramid3d.count_waffle_walks_to(L, 0, (1, 0)) == 0
+
+
+# -- the gather sweep against the per-point sum it replaced ------------------
+
+def per_point_sweep(counts, pts, moves):
+    """The old kernel, kept as the oracle of ``lattice.sweep``: the new count
+    at each point sums the counts of its neighbours inside ``pts``."""
+    index = {z: k for k, z in enumerate(pts)}
+    rows = [[index[q] for q in (tuple(map(add, z, v)) for v in moves) if q in index]
+            for z in pts]
+    return [sum(counts[k] for k in row) for row in rows]
+
+
+def signed_counts(rng, size):
+    return [rng.randrange(-10**30, 10**30) for _ in range(size)]
+
+
+def test_gather_sweep_equals_the_per_point_sum_on_every_cached_graph():
+    rng = random.Random(11)
+    for d in (2, 3):
+        forward = [lattice.step_vector(j, d) for j in range(1, d + 2)]
+        backward = [lattice.step_vector(-j, d) for j in range(1, d + 2)]
+        for L in range(7):
+            index, fam = lattice._graph(L, d)
+            pts = list(index)
+            for ch, moves in (("F", forward), ("B", backward), ("G", forward + backward)):
+                for counts in ([1] * len(pts), signed_counts(rng, len(pts))):
+                    assert lattice.sweep(counts, fam[ch]) == per_point_sweep(counts, pts, moves)
+
+
+def test_gather_sweep_on_the_waffle_and_the_signed_array():
+    rng = random.Random(12)
+    moves = list(pyramid3d.CARDINAL.values())
+    for L in range(9):
+        index, gathers = pyramid3d._waffle_graph(L)
+        pts = list(index)
+        counts = signed_counts(rng, len(pts))
+        assert lattice.sweep(counts, gathers) == per_point_sweep(counts, pts, moves)
+    # the signed array, negative entries included, from its recurrence
+    for L in range(6):
+        idx = [(i, j) for i in range(L + 2) for j in range(i + 1)]
+        w = [int(i <= L) if j == 0 else -int(i == L + 1) for i, j in idx]
+        for arr in pyramid3d.signed_waffle_array(L, 6):
+            assert arr == dict(zip(idx, w))
+            w = per_point_sweep(w, idx, moves)
+
+
+def test_gather_sweep_on_one_point_and_empty_domains():
+    # itemgetter with one index returns a bare value, not a tuple
+    for d in (2, 3):
+        index, fam = lattice._graph(0, d)
+        assert len(index) == 1
+        for ch in "FBG":
+            assert lattice.sweep([7], fam[ch]) == [0]
+        assert lattice.count_table(0, d, "FB") == [0]
+        assert lattice.count_table(0, d, "") == [1]
+    index, gathers = pyramid3d._waffle_graph(0)
+    assert list(index) == [(0, 0)] and lattice.sweep([5], gathers) == [0]
+    # a one-point domain with a move onto itself, two points that see each
+    # other, and a domain with no point at all
+    _, gathers = lattice.neighbour_rows([(0,)], [(0,), (1,)])
+    assert lattice.sweep([5], gathers) == [5]
+    _, gathers = lattice.neighbour_rows([(0,), (1,)], [(1,), (-1,)])
+    assert lattice.sweep([3, 4], gathers) == [4, 3]
+    _, gathers = lattice.neighbour_rows([], [(1,)])
+    assert lattice.sweep([], gathers) == []

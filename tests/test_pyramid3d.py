@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from triwalks import lattice, pyramid3d
-from triwalks.errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
+from triwalks.errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -267,6 +267,85 @@ def test_waffle_to_pyramid_errors():
     with pytest.raises(InvalidWalk):
         pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "S")
     assert pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "") == ()
+
+
+def test_waffle_to_pyramid_rejects_walks_ending_off_the_axis():
+    # outside the bijection's domain: "EN" would otherwise map to the image
+    # of "EW", and an off-axis start cell with the empty walk to ()
+    assert pyramid3d.waffle_to_pyramid((0, 0, 0, 4), (0, 0), "EW") == (1, 2)
+    for z, cell, walk in (((0, 0, 0, 4), (0, 0), "EN"), ((0, 0, 0, 4), (0, 0), "EENW"),
+                          ((1, 1, 1, 1), (0, 1), ""), ((1, 1, 1, 1), (1, 0), "WE")):
+        with pytest.raises(InvalidWalk, match="off the axis"):
+            pyramid3d.waffle_to_pyramid(z, cell, walk)
+
+
+# -- pyramid counts served by the waffle cell sum ------------------------------
+
+def test_cell_sum_equals_the_dp_at_every_point():
+    # count_pyramid_paths reads this table at the start's index; backward
+    # walks count like forward ones
+    for L in range(9):
+        pts = pyramid3d.pyramid_points(L)
+        for n in range(11):
+            for o in "FB":
+                table = lattice.count_table(L, 3, o * n)
+                assert [pyramid3d.forward_count(L, z, n) for z in pts] == table, (L, n, o)
+
+
+def test_cell_sum_equals_the_dp_past_the_grid():
+    z = (7, 8, 9, 6)
+    assert pyramid3d.forward_count(30, z, 400) == pyramid3d.count_pyramid_paths(30, 400, z)
+
+
+def test_corner_counts_three_ways():
+    # DP, cell sum and the closed-form generating function at L = 10
+    L, N = 10, 100
+    corner = lattice.origin(L, 3)
+    gf = pyramid3d.pyramid_gf_coefficients(L, N)
+    for n in range(N + 1):
+        dp = pyramid3d.count_pyramid_paths(L, n, corner)
+        assert dp == pyramid3d.forward_count(L, corner, n) == gf[n], n
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda f: f(2, (0, 0, 0, 5), 1), OutOfLattice),
+        (lambda f: f(2, (0, 0, 2), 1), OutOfLattice),
+        (lambda f: f(-1, (0, 0, 0, -1), 1), OutOfLattice),
+        (lambda f: f(2, (0, 0, 0, 2), -1), ValueError),
+    ],
+)
+def test_cell_sum_raises_the_errors_of_the_dp(call, error):
+    def dp(L, z, n):
+        return pyramid3d.count_pyramid_paths(L, n, z)
+
+    for count in (pyramid3d.forward_count, dp):
+        with pytest.raises(error):
+            call(count)
+
+
+def test_the_dp_oracles_never_read_the_cell_sum():
+    # run each oracle under sys.setprofile: no waffle code may be reached
+    import sys
+
+    served = {pyramid3d.forward_count.__code__, pyramid3d._waffle_table.__code__}
+    reached = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in served:
+            reached.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        pyramid3d.count_pyramid_paths(3, 4, (1, 0, 1, 1), "B")
+        lattice.count_paths(3, 3, (1, 0, 1, 1), "FBF")
+        lattice.count_generic(3, 3, (1, 0, 1, 1), 3)
+        lattice.count_table(3, 3, "FF")
+        lattice.generic_table(3, 3, 2)
+    finally:
+        sys.setprofile(None)
+    assert reached == []
 
 
 def test_pyramid_to_waffle_errors():
