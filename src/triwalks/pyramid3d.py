@@ -38,7 +38,7 @@ import math
 import mpmath
 
 from . import lattice
-from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
+from .errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
 from .profiles import CheckResult
 
 CARDINAL = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
@@ -81,7 +81,9 @@ def forward_count(L, z, n):
     any direction vector of length n, backward walks included. One waffle
     sweep, O(n L^2); ``count_pyramid_paths`` is its oracle.
     """
-    lattice.point_index(L, 3, z)  # the DP's OutOfLattice for a start off the pyramid
+    z = tuple(z)
+    if len(z) != 4 or sum(z) != L or min(z) < 0:  # by bounds: no pyramid graph is built
+        raise OutOfLattice(f"start {z} not in the lattice of side {L}, d=3")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     index, counts = _waffle_table(L, n, _on_axis)

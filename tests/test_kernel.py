@@ -192,8 +192,9 @@ def test_gather_sweep_on_one_point_and_empty_domains():
     assert list(index) == [(0, 0)] and lattice.sweep([5], gathers) == [0]
     # a one-point domain with a move onto itself, two points that see each
     # other, and a domain with no point at all
-    _, gathers = lattice.neighbour_rows([(0,)], [(0,), (1,)])
-    assert lattice.sweep([5], gathers) == [5]
+    for moves in ([(0,)], [(0,), (1,)], [(1,), (0,)]):
+        _, gathers = lattice.neighbour_rows([(0,)], moves)
+        assert lattice.sweep([5], gathers) == [5]
     _, gathers = lattice.neighbour_rows([(0,), (1,)], [(1,), (-1,)])
     assert lattice.sweep([3, 4], gathers) == [4, 3]
     _, gathers = lattice.neighbour_rows([], [(1,)])

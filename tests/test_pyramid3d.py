@@ -313,6 +313,8 @@ def test_corner_counts_three_ways():
         (lambda f: f(2, (0, 0, 0, 5), 1), OutOfLattice),
         (lambda f: f(2, (0, 0, 2), 1), OutOfLattice),
         (lambda f: f(-1, (0, 0, 0, -1), 1), OutOfLattice),
+        (lambda f: f(2, (1, 0, 0, 1, 0), 1), OutOfLattice),
+        (lambda f: f(2, (-1, 0, 0, 3), 1), OutOfLattice),
         (lambda f: f(2, (0, 0, 0, 2), -1), ValueError),
     ],
 )
@@ -320,9 +322,12 @@ def test_cell_sum_raises_the_errors_of_the_dp(call, error):
     def dp(L, z, n):
         return pyramid3d.count_pyramid_paths(L, n, z)
 
+    messages = []
     for count in (pyramid3d.forward_count, dp):
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             call(count)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_the_dp_oracles_never_read_the_cell_sum():
