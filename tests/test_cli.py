@@ -134,8 +134,7 @@ def test_pyramid_map_cell_of_the_wrong_length_is_one_error_document(capsys):
 
 
 def test_pyramid_map_walk_ending_off_the_axis_is_one_error_document(capsys):
-    # "EN" ends at (1, 1); before the axis check it mapped to "s1 s2", the
-    # image of "EW"
+    # "EN" ends at (1, 1), off the axis, so outside the bijection's domain
     code = cli.main(["pyramid", "map", "--L", "4", "--walk", "EN"])
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 1 and len(out) == 1
@@ -348,11 +347,9 @@ DP_ROW_ARGVS = {
 def test_dp_rows_are_reached_by_their_command(dotted, capsys):
     import sys
 
-    from triwalks import lattice as lattice_module
-
     argv = DP_ROW_ARGVS[dotted]
     assert argv.startswith(cli.OPERATION_COVERAGE[dotted] + " ")
-    code_obj = getattr(lattice_module, dotted.split(".")[1]).__code__
+    code_obj = getattr(lattice, dotted.split(".")[1]).__code__
     reached = []
 
     def profiler(frame, event, arg):

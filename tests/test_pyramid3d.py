@@ -270,8 +270,8 @@ def test_waffle_to_pyramid_errors():
 
 
 def test_waffle_to_pyramid_rejects_walks_ending_off_the_axis():
-    # outside the bijection's domain: "EN" would otherwise map to the image
-    # of "EW", and an off-axis start cell with the empty walk to ()
+    # such walks are outside the bijection's domain: "EN" would share the
+    # image of "EW"
     assert pyramid3d.waffle_to_pyramid((0, 0, 0, 4), (0, 0), "EW") == (1, 2)
     for z, cell, walk in (((0, 0, 0, 4), (0, 0), "EN"), ((0, 0, 0, 4), (0, 0), "EENW"),
                           ((1, 1, 1, 1), (0, 1), ""), ((1, 1, 1, 1), (1, 0), "WE")):
