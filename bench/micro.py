@@ -1,9 +1,10 @@
 """Per-layer timings of the scaffolding transducers, the forward sampler and
-the 3d scaffolding, and end-to-end timings of large ``count`` commands,
-written to a BENCH_*.json file.
+the 3d scaffolding, end-to-end timings of large ``count`` commands and of
+saving a random scaffolding, and the time and memory of reading that file
+back, written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_11.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_11.json
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_12.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_12.json
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
@@ -11,8 +12,10 @@ built once from fixed seeds. The run is stored under its label; other labels
 already in the output file are kept, so one file holds a before/after pair.
 Standard library only.
 
-The ``count`` rows run ``cli.main`` in-process with stdout captured, so
-they time the command a user runs, whatever code serves it.
+The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
+they time the command a user runs, whatever code serves it. The
+``RandomScaffolding.loads`` row also stores the peak of memory allocated
+during one more, untimed call (``tracemalloc``), in bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import json
 import os
 import platform
 import random
+import tempfile
 import time
+import tracemalloc
 
 from triwalks import cli, motzkin, pyramid3d, scaffold2d
 
@@ -102,7 +107,26 @@ def rows():
 
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
-    return [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
+    out = [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
+
+    argv = "scaffolding --L 25 --seed 1 --out"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scaffolding.json")
+        seconds = best_of(run_cli, [*argv.split(), path])
+        out.append({"name": f"cli {argv} <tmp>", "params": {"argv": f"{argv} <tmp>"},
+                    "seconds": round(seconds, 6)})
+        with open(path) as fh:
+            text = fh.read()
+    seconds = best_of(scaffold2d.RandomScaffolding.loads, text)
+    tracemalloc.start()
+    try:
+        scaffold2d.RandomScaffolding.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out.append({"name": "RandomScaffolding.loads", "params": {"file": f"cli {argv} <tmp>"},
+                "seconds": round(seconds, 6), "tracemalloc_peak_bytes": peak})
+    return out
 
 
 def main(argv=None):
@@ -123,7 +147,9 @@ def main(argv=None):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for row in doc["runs"][args.label]["rows"]:
-        print(f"{args.label:8} {row['name']:45} {row['seconds']:.4f} s")
+        peak = row.get("tracemalloc_peak_bytes")
+        print(f"{args.label:8} {row['name']:45} {row['seconds']:.4f} s"
+              + (f", peak {peak / 2**20:.1f} MiB" if peak is not None else ""))
 
 
 if __name__ == "__main__":

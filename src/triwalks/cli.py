@@ -239,19 +239,25 @@ def cmd_gf(args, command="gf"):
     return _emit(doc, [f"coefficients: {coeffs}"])
 
 
+def _command(args):
+    """The command a document names, answer or error: the subcommand, with
+    its action for ``pyramid``."""
+    return f"pyramid {args.action}" if args.cmd == "pyramid" else args.cmd
+
+
 def cmd_pyramid(args):
     t0 = time.perf_counter()
     if args.action == "count":
         value = pyramid3d.forward_count(args.L, lattice.origin(args.L, 3), args.n)
-        doc = _report("pyramid count", {"L": args.L, "n": args.n},
+        doc = _report(_command(args), {"L": args.L, "n": args.n},
                       {"count": str(value)}, seconds=time.perf_counter() - t0)
         return _emit(doc, [f"count = {value}"])
     if args.action == "gf":
-        return cmd_gf(args, "pyramid gf")
+        return cmd_gf(args, _command(args))
     # map: waffle walk to pyramid walk
     start = lattice.parse_point(args.cell)
     path = pyramid3d.waffle_to_pyramid(lattice.origin(args.L, 3), start, args.walk)
-    doc = _report("pyramid map",
+    doc = _report(_command(args),
                   {"L": args.L, "cell": args.cell, "walk": args.walk},
                   {"path": lattice.format_steps(path)},
                   seconds=time.perf_counter() - t0)
@@ -457,7 +463,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except (TriwalksError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        command = args.cmd if args else None
+        command = _command(args) if args else None
         print(json.dumps({"command": command, "ok": False, "error": str(exc)}))
         return 2 if isinstance(exc, UsageError) else 1
 

@@ -22,6 +22,7 @@ rules drive walks in triangles of every size at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -136,7 +137,32 @@ class Scaffolding:
 
 
 class RandomScaffolding(Scaffolding):
-    """Materialized tables chosen uniformly at random per height class."""
+    """Materialized tables chosen uniformly at random per height class.
+
+    ``tables[z]`` maps each (cell, step) of A(z) to its (forward step index,
+    target cell). Built from a seed, the tables are a function of (L, seed)
+    alone: points are taken in ``all_points`` order and, per point, heights
+    upwards; each height class lists its sources U, F, D by cell and its
+    targets by neighbour j and cell, then ``rng.shuffle`` permutes the
+    targets.
+
+    ``dumps`` writes, and ``loads`` reads, a JSON document with sorted keys::
+
+        {"L": <int>, "seed": <the seed or null>,
+         "tables": {"<x1>,<x2>,<x3>": [record, ...], ...}}
+
+    with one record per table entry, sorted by (cell, step)::
+
+        {"cell": [f, l], "out_cell": [f', l'], "out_step": "s<j>", "step": "<U|F|D>"}
+
+    ``loads`` converts each record to its table entry while it parses, and
+    ``from_json`` converts the records of a parsed document the same way. A
+    record must have a step in U, F, D, an out_step in s1, s2, s3 and cells
+    that are pairs of integers, or ValueError is raised (KeyError for a
+    missing field). A record that breaks the bijection (two records onto one
+    target, say) is read as written, so that ``validate_scaffolding`` can
+    report it. ``inverse`` is built on the first ``delta_inv`` call.
+    """
 
     def __init__(self, L, seed=None, tables=None):
         if L < 0:
@@ -144,30 +170,28 @@ class RandomScaffolding(Scaffolding):
         super().__init__()
         self.L = L
         self.seed = seed
-        if tables is not None:
-            self.tables = tables
-        else:
+        if tables is None:
             rng = random.Random(seed)
-            self.tables = {z: self._build_point(z, rng) for z in all_points(L, 2)}
-        self.inverse = {
-            z: {v: k for k, v in tab.items()} for z, tab in self.tables.items()
-        }
+            points = all_points(L, 2)
+            # cells and steps per height, 0..L // 2 + 1: a D step reads one
+            # height above the class (no cell lies there)
+            heights = range(L // 2 + 2)
+            rows = {z: [cells_at_height(z, f) for f in heights] for z in points}
+            allowed = [allowed_steps(f, L) for f in heights]
+            tables = {z: self._build_point(z, rows, allowed, rng) for z in points}
+        self.tables = tables
 
-    def _build_point(self, z, rng):
-        nbs = forward_neighbours(z)
+    def _build_point(self, z, rows, allowed, rng):
+        cells = rows[z]
+        nbs = [(j, rows[w]) for j, w in forward_neighbours(z).items() if min(w) >= 0]
         table = {}
-        H = self.L // 2
-        for h in range(H + 1):
+        for h in range(self.L // 2 + 1):
             sources = []
             for ch in ("U", "F", "D"):
                 f = h - _HEIGHT_MOVE[ch]
-                if 0 <= f and ch in allowed_steps(f, self.L):
-                    sources.extend((c, ch) for c in cells_at_height(z, f))
-            targets = []
-            for j in (1, 2, 3):
-                w = nbs[j]
-                if min(w) >= 0:
-                    targets.extend((j, c) for c in cells_at_height(w, h))
+                if 0 <= f and ch in allowed[f]:
+                    sources.extend([(c, ch) for c in cells[f]])
+            targets = [(j, c) for j, wcells in nbs for c in wcells[h]]
             if len(sources) != len(targets):
                 raise AssertionError(
                     f"height class size mismatch at z={z}, h={h}: "
@@ -176,6 +200,11 @@ class RandomScaffolding(Scaffolding):
             rng.shuffle(targets)
             table.update(zip(sources, targets))
         return table
+
+    @functools.cached_property
+    def inverse(self):
+        """tables inverted per point; built on the first ``delta_inv`` call."""
+        return {z: {v: k for k, v in tab.items()} for z, tab in self.tables.items()}
 
     def delta(self, z, cell, step):
         self.lookup_count += 1
@@ -214,21 +243,55 @@ class RandomScaffolding(Scaffolding):
         tables = {}
         for key, recs in doc["tables"].items():
             z = tuple(int(t) for t in key.split(","))
-            tab = {}
-            for r in recs:
-                tab[(tuple(r["cell"]), r["step"])] = (
-                    int(r["out_step"][1:]),
-                    tuple(r["out_cell"]),
-                )
-            tables[z] = tab
+            if type(recs) is not list:
+                raise ValueError(f"table {key} is not a list of records")
+            # loads has converted the records while parsing
+            tables[z] = dict(r if type(r) is tuple else _record(r) for r in recs)
         return cls(doc["L"], seed=doc.get("seed"), tables=tables)
 
     def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """``json.dumps(self.to_json(), sort_keys=True)``, written in one pass."""
+        points = sorted((",".join(map(str, z)), tab) for z, tab in self.tables.items())
+        body = ", ".join(
+            f'"{key}": [' + ", ".join(
+                f'{{"cell": [{f}, {l}], "out_cell": [{f2}, {l2}], '
+                f'"out_step": "s{j}", "step": "{ch}"}}'
+                for ((f, l), ch), (j, (f2, l2)) in sorted(tab.items())
+            ) + "]"
+            for key, tab in points
+        )
+        return f'{{"L": {json.dumps(self.L)}, "seed": {json.dumps(self.seed)}, "tables": {{{body}}}}}'
 
     @classmethod
     def loads(cls, text):
-        return cls.from_json(json.loads(text))
+        return cls.from_json(json.loads(text, object_hook=_parse_object))
+
+
+_OUT_STEPS = {"s1": 1, "s2": 2, "s3": 3}
+
+
+def _cell(rec, field):
+    value = rec[field]
+    if type(value) is list and len(value) == 2:
+        f, l = value
+        if type(f) is int and type(l) is int:
+            return f, l
+    raise ValueError(f"{field} {value!r} is not a pair of integers")
+
+
+def _record(rec):
+    """The table entry ((cell, step), (j, out_cell)) of one file record."""
+    step, out_step = rec["step"], rec["out_step"]
+    if type(step) is not str or step not in ("U", "F", "D"):
+        raise ValueError(f"step {step!r} is not U, F or D")
+    if type(out_step) is not str or out_step not in _OUT_STEPS:
+        raise ValueError(f"out_step {out_step!r} is not s1, s2 or s3")
+    return (_cell(rec, "cell"), step), (_OUT_STEPS[out_step], _cell(rec, "out_cell"))
+
+
+def _parse_object(obj):
+    """object_hook of ``loads``: a record becomes its table entry as it is parsed."""
+    return _record(obj) if "cell" in obj else obj
 
 
 def build_random_scaffolding(L, seed):

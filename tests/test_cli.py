@@ -142,6 +142,17 @@ def test_pyramid_map_walk_ending_off_the_axis_is_one_error_document(capsys):
     assert doc["ok"] is False and doc["error"] == "walk ends at (1, 1), off the axis j = 0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["pyramid map --L 4 --walk EN", "pyramid count --L 4 --n -1",
+     "pyramid gf --L 4 --terms -1"],
+)
+def test_pyramid_errors_name_the_command_of_the_answer(capsys, argv):
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == [] and doc["ok"] is False
+    assert doc["command"] == " ".join(argv.split()[:2])
+
+
 def test_counts_in_3d_are_the_dp(capsys):
     # count generic --d 3 is the cell sum times 2^n, count triangular --d 3
     # the cell sum for any direction vector; both against the DP
@@ -397,6 +408,13 @@ def test_verify_rejects_corrupted_scaffolding(tmp_path, capsys):
     assert rep["outputs"]["violations"]
 
 
+# one record of a valid file with a field outside the schema: a step outside
+# U/F/D, an out_step outside s1/s2/s3, a cell that is not a pair of integers
+BAD_RECORDS = {"step": ("step", "X"), "out_step_minus": ("out_step", "s-1"),
+               "out_step_9": ("out_step", "s9"), "short_cell": ("cell", [0]),
+               "str_out_cell": ("out_cell", ["1", "0"])}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -405,18 +423,33 @@ def test_verify_rejects_corrupted_scaffolding(tmp_path, capsys):
         ["map", "--L", "3", "--scaffolding-file", "{bad}", "UFD"],
         ["verify", "--scaffolding-file", "{bad}"],
         ["scaffolding", "--L", "3", "--seed", "1", "--out", "{missing_dir}"],
+    ] + [
+        argv
+        for name in BAD_RECORDS
+        for argv in (["map", "--L", "3", "--scaffolding-file", "{%s}" % name, "UFD"],
+                     ["verify", "--scaffolding-file", "{%s}" % name])
     ],
-    ids=["map-missing", "verify-missing", "map-no-tables", "verify-no-tables", "out-missing-dir"],
+    ids=["map-missing", "verify-missing", "map-no-tables", "verify-no-tables", "out-missing-dir"]
+    + [f"{cmd}-{name}" for name in BAD_RECORDS for cmd in ("map", "verify")],
 )
 def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, argv):
+    from triwalks.scaffold2d import RandomScaffolding
+
     bad = tmp_path / "bad.json"
     bad.write_text('{"bad": 1}')
     paths = {"missing": tmp_path / "nonexistent.json", "bad": bad,
              "missing_dir": tmp_path / "nonexistent" / "x.json"}
+    for name, (field, value) in BAD_RECORDS.items():
+        doc = RandomScaffolding(3, 5).to_json()
+        doc["tables"]["0,0,3"][0][field] = value
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     argv = [a.format(**paths) for a in argv]
     code, human, doc = run(capsys, *argv)
     assert code == 2 and human == []
     assert doc["ok"] is False and "scaffolding" in doc["error"]
+    named = next(a for a in argv if a.startswith(str(tmp_path)))
+    assert named in doc["error"]
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,135 @@ def test_random_scaffolding_json_round_trip():
     assert clone.motzkin_to_triangular(w) == scaf.motzkin_to_triangular(w)
 
 
+def _reference_tables(L, seed):
+    """The tables as first built: cells looked up per source and target, one
+    ``rng.shuffle`` per point and height."""
+    rng = random.Random(seed)
+    tables = {}
+    for z in lattice.all_points(L, 2):
+        nbs = lattice.forward_neighbours(z)
+        table = {}
+        for h in range(L // 2 + 1):
+            sources = []
+            for ch in ("U", "F", "D"):
+                f = h - motzkin._HEIGHT_MOVE[ch]
+                if 0 <= f and ch in motzkin.allowed_steps(f, L):
+                    sources.extend((c, ch) for c in profiles.cells_at_height(z, f))
+            targets = []
+            for j in (1, 2, 3):
+                if min(nbs[j]) >= 0:
+                    targets.extend((j, c) for c in profiles.cells_at_height(nbs[j], h))
+            rng.shuffle(targets)
+            table.update(zip(sources, targets))
+        tables[z] = table
+    return tables
+
+
+def test_random_tables_make_the_reference_draws():
+    for L in range(13):
+        for seed in (0, 1, 7, "x"):
+            assert RandomScaffolding(L, seed).tables == _reference_tables(L, seed), (L, seed)
+
+
+def test_dumps_is_the_sorted_json_of_to_json():
+    for L in range(13):
+        for seed in (0, 1, 7, None):
+            scaf = RandomScaffolding(L, seed)
+            text = scaf.dumps()
+            assert text == json.dumps(scaf.to_json(), sort_keys=True), (L, seed)
+            clone = RandomScaffolding.loads(text)
+            assert clone.seed == scaf.seed and clone.dumps() == text
+
+
+def test_scaffolding_file_bytes_are_pinned():
+    import hashlib
+
+    text = RandomScaffolding(25, 1).dumps()
+    assert len(text) == 1951454
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "372a45f4b8305dbbde3a12d45cc3bad7ad6a046e6ec86a0bc69fad7ad37d2669"
+    )
+
+
+def test_inverse_is_built_on_the_first_delta_inv():
+    scaf = RandomScaffolding(7, 3)
+    word = motzkin.uniform_sample(30, 7, seed=2)
+    path = scaf.motzkin_to_triangular(word)
+    assert scaffold2d.validate_scaffolding(scaf).ok
+    assert "inverse" not in vars(scaf)
+    assert scaf.triangular_to_motzkin(path) == word
+    assert "inverse" in vars(scaf)  # built once, not per lookup
+    assert scaf.inverse == {
+        z: {v: k for k, v in tab.items()} for z, tab in scaf.tables.items()
+    }
+
+
+def test_loads_and_from_json_read_the_same_tables():
+    for L, seed in ((0, 0), (1, 2), (6, 5), (13, 1)):
+        text = RandomScaffolding(L, seed).dumps()
+        a = RandomScaffolding.loads(text)
+        b = RandomScaffolding.from_json(json.loads(text))
+        assert a.tables == b.tables and (a.L, a.seed) == (b.L, b.seed) == (L, seed)
+        for tab in a.tables.values():
+            for ((f, l), ch), (j, (f2, l2)) in tab.items():
+                assert all(type(t) is int for t in (f, l, j, f2, l2)) and ch in "UFD"
+
+
+def test_loads_converts_each_record_while_parsing():
+    import tracemalloc
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # parsing first and converting after holds every record dict at once,
+    # about twice the memory (0.45 of it at L = 8, 12 and 25)
+    text = RandomScaffolding(12, 1).dumps()
+    one_pass = peak(lambda: RandomScaffolding.loads(text))
+    two_passes = peak(lambda: RandomScaffolding.from_json(json.loads(text)))
+    assert one_pass < 0.6 * two_passes
+
+
+# one malformed field of one record; each makes both readers raise ValueError
+BAD_RECORD_FIELDS = {
+    "step-X": ("step", "X"),
+    "step-UF": ("step", "UF"),
+    "step-list": ("step", ["U"]),
+    "out-step-s-1": ("out_step", "s-1"),
+    "out-step-s9": ("out_step", "s9"),
+    "out-step-int": ("out_step", 1),
+    "cell-short": ("cell", [0]),
+    "cell-long": ("cell", [0, 0, 0]),
+    "cell-float": ("cell", [0, 0.0]),
+    "cell-bool": ("cell", [False, 0]),
+    "cell-str": ("cell", "00"),
+    "out-cell-short": ("out_cell", [1]),
+    "out-cell-str": ("out_cell", ["1", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORD_FIELDS) + ["table-one-record"])
+def test_malformed_records_are_rejected(case):
+    doc = RandomScaffolding(3, 5).to_json()
+    if case == "table-one-record":
+        # one record in place of the table's list; the parser of loads turns
+        # it into a pair of pairs, which dict() would read as two entries
+        doc["tables"]["0,0,3"] = doc["tables"]["0,0,3"][0]
+        blamed = "^table 0,0,3 "
+    else:
+        field, value = BAD_RECORD_FIELDS[case]
+        doc["tables"]["0,0,3"][0][field] = value
+        blamed = f"^{field} "
+    with pytest.raises(ValueError, match=blamed):
+        RandomScaffolding.loads(json.dumps(doc))
+    with pytest.raises(ValueError, match=blamed):
+        RandomScaffolding.from_json(doc)
+
+
 def test_validate_catches_corruption():
     scaf = RandomScaffolding(3, 5)
     doc = scaf.to_json()
