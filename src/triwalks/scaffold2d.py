@@ -267,26 +267,40 @@ class RandomScaffolding(Scaffolding):
         return cls.from_json(json.loads(text, object_hook=_parse_object))
 
 
-_OUT_STEPS = {"s1": 1, "s2": 2, "s3": 3}
-
-
-def _cell(rec, field):
-    value = rec[field]
-    if type(value) is list and len(value) == 2:
-        f, l = value
-        if type(f) is int and type(l) is int:
-            return f, l
-    raise ValueError(f"{field} {value!r} is not a pair of integers")
+# (step, out_step) of a valid record -> the forward step index j
+_STEP_PAIRS = {(step, f"s{j}"): j for step in "UFD" for j in (1, 2, 3)}
 
 
 def _record(rec):
     """The table entry ((cell, step), (j, out_cell)) of one file record."""
+    cell, step, out_step, out_cell = rec["cell"], rec["step"], rec["out_step"], rec["out_cell"]
+    try:
+        (f, l), (f2, l2) = cell, out_cell
+        j = _STEP_PAIRS[step, out_step]
+    except (TypeError, ValueError, KeyError):
+        j = None
+    if j is None or not (type(f) is int and type(l) is int and type(f2) is int and type(l2) is int):
+        raise ValueError(_record_error(rec))
+    return ((f, l), step), (j, (f2, l2))
+
+
+def _is_cell(value):
+    try:
+        f, l = value
+    except (TypeError, ValueError):
+        return False
+    return type(f) is int and type(l) is int
+
+
+def _record_error(rec):
+    """Why ``_record`` rejects ``rec``: its first field outside the schema."""
     step, out_step = rec["step"], rec["out_step"]
     if type(step) is not str or step not in ("U", "F", "D"):
-        raise ValueError(f"step {step!r} is not U, F or D")
-    if type(out_step) is not str or out_step not in _OUT_STEPS:
-        raise ValueError(f"out_step {out_step!r} is not s1, s2 or s3")
-    return (_cell(rec, "cell"), step), (_OUT_STEPS[out_step], _cell(rec, "out_cell"))
+        return f"step {step!r} is not U, F or D"
+    if type(out_step) is not str or out_step not in ("s1", "s2", "s3"):
+        return f"out_step {out_step!r} is not s1, s2 or s3"
+    field = "cell" if not _is_cell(rec["cell"]) else "out_cell"
+    return f"{field} {rec[field]!r} is not a pair of integers"
 
 
 def _parse_object(obj):
