@@ -285,6 +285,7 @@ def _record(rec):
 
 
 def _is_cell(value):
+    """Whether ``value`` unpacks into two ints, as ``_record`` reads a cell."""
     try:
         f, l = value
     except (TypeError, ValueError):
