@@ -38,8 +38,8 @@ def test_random_scaffolding_json_round_trip():
 
 
 def _reference_tables(L, seed):
-    """The tables as first built: cells looked up per source and target, one
-    ``rng.shuffle`` per point and height."""
+    """The tables built the direct way, looking cells up per source and per
+    target, with one ``rng.shuffle`` per point and height."""
     rng = random.Random(seed)
     tables = {}
     for z in lattice.all_points(L, 2):
@@ -108,7 +108,7 @@ def test_loads_and_from_json_read_the_same_tables():
         assert a.tables == b.tables and (a.L, a.seed) == (b.L, b.seed) == (L, seed)
         for tab in a.tables.values():
             for ((f, l), ch), (j, (f2, l2)) in tab.items():
-                assert all(type(t) is int for t in (f, l, j, f2, l2)) and ch in "UFD"
+                assert all(type(t) is int for t in (f, l, j, f2, l2)) and ch in ("U", "F", "D")
 
 
 def test_loads_converts_each_record_while_parsing():
