@@ -307,55 +307,6 @@ def cmd_verify(args):
     return _emit(doc, human + [("all checks passed" if ok else "CHECKS FAILED")])
 
 
-# which subcommand reaches each library operation; the test suite asserts
-# this table stays total over the public API
-OPERATION_COVERAGE = {
-    "lattice.origin": "count triangular",
-    "lattice.validate_path": "map",
-    "lattice.count_paths": "verify --suite counts",
-    "lattice.count_generic": "count generic --d 4",
-    "lattice.enumerate_paths": "enumerate triangular",
-    "lattice.count_bicolored_pairs": "verify --suite counts",
-    "motzkin.amplitude": "map",
-    "motzkin.meander_row": "count motzkin",
-    "motzkin.count_meanders": "count motzkin",
-    "motzkin.count_paths_by_amplitude": "count motzkin",
-    "motzkin.enumerate_meanders": "enumerate motzkin",
-    "motzkin.uniform_sample": "sample motzkin",
-    "flips.swap_flip": "verify --suite flips",
-    "flips.last_step_flip": "verify --suite flips",
-    "flips.transform": "map --bicolored one",
-    "flips.algorithm1": "verify --suite flips",
-    "flips.tile": "verify --suite flips",
-    "flips.read_path": "verify --suite flips",
-    "profiles.profile": "profile",
-    "profiles.forward_count": "count triangular",
-    "profiles.cell_representation": "profile",
-    "profiles.check_profile_identities": "verify --suite profiles",
-    "profiles.check_forward_counts_via_profiles": "verify --suite profiles",
-    "scaffold2d.build_random_scaffolding": "map --scaffolding random:<seed>",
-    "scaffold2d.trapezium_delta": "map --scaffolding trapezium",
-    "scaffold2d.Scaffolding.motzkin_to_triangular": "map --direction m2t",
-    "scaffold2d.Scaffolding.triangular_to_motzkin": "map --direction t2m",
-    "scaffold2d.Scaffolding.bicolored_to_generic": "map --bicolored one|two",
-    "scaffold2d.validate_scaffolding": "verify --suite scaffold",
-    "scaffold2d.sample_forward_path": "sample forward",
-    "omega.omega": "map --method omega --direction t2m",
-    "omega.omega_inverse": "map --method omega --direction m2t",
-    "omega.forward_to_motzkin_exp": "map --method omega",
-    "pyramid3d.forward_count": "pyramid count",
-    "pyramid3d.count_pyramid_paths": "verify --suite pyramid",
-    "pyramid3d.count_waffle_walks": "count waffle",
-    "pyramid3d.profile3d": "verify --suite pyramid",
-    "pyramid3d.anchor": "verify --suite pyramid",
-    "pyramid3d.diamond_delta": "verify --suite pyramid",
-    "pyramid3d.waffle_to_pyramid": "pyramid map",
-    "pyramid3d.pyramid_gf_coefficients": "gf",
-    "pyramid3d.reflection_count": "verify --suite pyramid",
-    "verify.run_suite": "verify",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError on a bad command line, so that ``main`` reports it
     as one JSON error document; subcommand parsers inherit the class."""

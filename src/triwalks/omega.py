@@ -10,16 +10,17 @@ bounded Motzkin paths.
 
 The recursion peels the first step. A walk beginning with s_2 is sent to
 G_n(k - 1) outright: prefix the remaining walk with -s_3 and transport the
-result to the all-forward direction vector. A walk beginning with s_1 has
-its tail recursed at level k + 1, and the chain of outcomes is re-recursed
-at levels k, k - 1 until a meander appears; the three exits prefix the
-meander with an up, flat or down step, and the fourth exit prefixes -s_1
-and transports, landing in G_n(k - 1). At k = H the level k + 1 does not
-exist; instead the tail is reflected through the triangle's vertical
+result to the all-forward direction vector. A walk beginning with s_1
+enters a chain of recursions at neighbouring levels, re-recursing each walk
+image until a meander appears; the meander leaves prefixed with the letter
+of its exit, and a walk out of the last exit leaves prefixed with -s_1 and
+transported, landing in G_n(k - 1). At k = H the level k + 1 does not
+exist; instead the tail is first reflected through the triangle's vertical
 midline (swap the outer coordinates, relabel steps s_1, s_2, s_3 to
--s_1, -s_3, -s_2), transported forward, and the chain continues on the
-side the parity of L dictates. Every arrow is reversible, which is what
-``omega_inverse`` walks backwards.
+-s_1, -s_3, -s_2) and transported forward, and the chain continues on the
+side the parity of L dictates. ``_chain`` describes the chain at each
+level once: ``omega`` follows it forward and ``omega_inverse`` walks it
+backwards, every arrow being reversible.
 """
 
 from __future__ import annotations
@@ -62,6 +63,22 @@ def _to_forward(steps):
     return transform(steps, "F" * len(steps))
 
 
+def _chain(L, k):
+    """The arrows that follow an s_1 step at level k, as data: whether the
+    tail is reflected and transported forward before it enters the chain,
+    and the (exit letter, level) pairs the chain recurses at, in order.
+
+    Below H the tail enters as it is and the pairs are (U, k + 1), (F, k),
+    (D, k - 1). At k = H the level H + 1 does not exist: the tail enters
+    reflected, and the pairs are (F, H) for odd L only, then (D, H - 1). A
+    meander out of a pair leaves with the pair's letter prefixed; a walk out
+    of the last pair leaves past the end, prefixed with -s_1 and transported.
+    """
+    if k < L // 2:
+        return False, (("U", k + 1), ("F", k), ("D", k - 1))
+    return True, ((("F", k), ("D", k - 1)) if L % 2 else (("D", k - 1),))
+
+
 def omega(L, k, steps, stats=None):
     """Image of a forward walk from edge_point(L, k); length is preserved."""
     H = L // 2
@@ -77,29 +94,14 @@ def omega(L, k, steps, stats=None):
         return OmegaImage(path=_to_forward((SB3,) + tail))
     if first != S1:
         raise NotInImage(f"walk from {edge_point(L, k)} cannot start with step {first}")
-    if k < H:
-        x = omega(L, k + 1, tail, stats)
-        if x.is_meander:
-            return OmegaImage(meander=MotzkinWord("U" + x.meander.steps, k))
-        y = omega(L, k, x.path, stats)
-        if y.is_meander:
-            return OmegaImage(meander=MotzkinWord("F" + y.meander.steps, k))
-        z = omega(L, k - 1, y.path, stats)
-        if z.is_meander:
-            return OmegaImage(meander=MotzkinWord("D" + z.meander.steps, k))
-        return OmegaImage(path=_to_forward((SB1,) + z.path))
-    # k == H: reflect the tail instead of recursing at the missing level H + 1
-    rho = _to_forward(reflect(tail))
-    if L % 2 == 1:
-        y = omega(L, H, rho, stats)
-        if y.is_meander:
-            return OmegaImage(meander=MotzkinWord("F" + y.meander.steps, H))
-        z = omega(L, H - 1, y.path, stats)
-    else:
-        z = omega(L, H - 1, rho, stats)
-    if z.is_meander:
-        return OmegaImage(meander=MotzkinWord("D" + z.meander.steps, H))
-    return OmegaImage(path=_to_forward((SB1,) + z.path))
+    reflected, exits = _chain(L, k)
+    walk = _to_forward(reflect(tail)) if reflected else tail
+    for letter, level in exits:
+        image = omega(L, level, walk, stats)
+        if image.is_meander:
+            return OmegaImage(meander=MotzkinWord(letter + image.meander.steps, k))
+        walk = image.path
+    return OmegaImage(path=_to_forward((SB1,) + walk))
 
 
 def omega_inverse(L, k, image, stats=None):
@@ -109,69 +111,48 @@ def omega_inverse(L, k, image, stats=None):
         raise HeightOutOfRange(f"k={k} not in 0..{H} for L={L}")
     if stats is not None:
         stats["calls"] = stats.get("calls", 0) + 1
+    reflected, exits = _chain(L, k)
     if image.is_meander:
         word = image.meander
         if word.start_height != k:
             raise NotInImage(f"meander starts at {word.start_height}, expected {k}")
         if not fits_amplitude(word, L):
             raise NotInImage(f"amplitude exceeds {L}")
-        n = len(word)
-        if n == 0:
+        if not word.steps:
             if k != 0:
                 raise NotInImage("empty meander only arises at k = 0")
             return ()
-        head, rest = word.steps[0], MotzkinWord(word.steps[1:], k + _HEIGHT_MOVE[word.steps[0]])
-        if k < H:
-            if head == "U":
-                tail = omega_inverse(L, k + 1, OmegaImage(meander=rest), stats)
-            elif head == "F":
-                x = omega_inverse(L, k, OmegaImage(meander=rest), stats)
-                tail = omega_inverse(L, k + 1, OmegaImage(path=x), stats)
-            else:
-                y = omega_inverse(L, k - 1, OmegaImage(meander=rest), stats)
-                x = omega_inverse(L, k, OmegaImage(path=y), stats)
-                tail = omega_inverse(L, k + 1, OmegaImage(path=x), stats)
-            return (S1,) + tuple(tail)
-        # k == H
-        if head == "F":
-            if L % 2 == 0:
-                raise NotInImage("no flat start at the top height when L is even")
-            rho = omega_inverse(L, H, OmegaImage(meander=rest), stats)
-        elif head == "D":
-            z = omega_inverse(L, H - 1, OmegaImage(meander=rest), stats)
-            if L % 2 == 1:
-                rho = omega_inverse(L, H, OmegaImage(path=z), stats)
-            else:
-                rho = z
+        head = word.steps[0]
+        # the chain left at the pair of the head letter
+        for out, (letter, _) in enumerate(exits):
+            if letter == head:
+                break
         else:
-            raise NotInImage("no up step can start at the top height")
-        tail = reflect(transform(rho, "B" * len(rho)))
-        return (S1,) + tuple(tail)
-    # image in G_n(k - 1)
-    if k == 0:
-        raise NotInImage("no walk images exist at k = 0")
-    path = tuple(image.path)
-    n = len(path)
-    if n == 0:
-        return ()
-    validate_path(L, 2, edge_point(L, k - 1), path)
-    u = transform(path, "B" + "F" * (n - 1))
-    head, tail = u[0], tuple(u[1:])
-    if head == SB3:
-        return (S2,) + tail
-    if head != SB1:
-        raise NotInImage(f"transport preimage starts with {head}")
-    if k < H:
-        y = omega_inverse(L, k - 1, OmegaImage(path=tail), stats)
-        x = omega_inverse(L, k, OmegaImage(path=y), stats)
-        front = omega_inverse(L, k + 1, OmegaImage(path=x), stats)
-        return (S1,) + tuple(front)
-    z = omega_inverse(L, H - 1, OmegaImage(path=tail), stats)
-    if L % 2 == 1:
-        rho = omega_inverse(L, H, OmegaImage(path=z), stats)
+            raise NotInImage(f"no meander from level {k} starts with {head} when L={L}")
+        image = OmegaImage(meander=MotzkinWord(word.steps[1:], k + _HEIGHT_MOVE[head]))
     else:
-        rho = z
-    return (S1,) + tuple(reflect(transform(rho, "B" * len(rho))))
+        if k == 0:
+            raise NotInImage("no walk images exist at k = 0")
+        path = tuple(image.path)
+        n = len(path)
+        if n == 0:
+            return ()
+        validate_path(L, 2, edge_point(L, k - 1), path)
+        u = transform(path, "B" + "F" * (n - 1))
+        head, tail = u[0], tuple(u[1:])
+        if head == SB3:
+            return (S2,) + tail
+        if head != SB1:
+            raise NotInImage(f"transport preimage starts with {head}")
+        # the chain left past its end
+        out = len(exits)
+        image = OmegaImage(path=tail)
+    for _, level in reversed(exits[:out + 1]):
+        image = OmegaImage(path=omega_inverse(L, level, image, stats))
+    walk = image.path
+    if reflected:
+        walk = reflect(transform(walk, "B" * len(walk)))
+    return (S1,) + tuple(walk)
 
 
 def _too_long(n):

@@ -156,12 +156,14 @@ class RandomScaffolding(Scaffolding):
         {"cell": [f, l], "out_cell": [f', l'], "out_step": "s<j>", "step": "<U|F|D>"}
 
     ``loads`` converts each record to its table entry while it parses, and
-    ``from_json`` converts the records of a parsed document the same way. A
-    record must have a step in U, F, D, an out_step in s1, s2, s3 and cells
-    that are pairs of integers, or ValueError is raised (KeyError for a
-    missing field). A record that breaks the bijection (two records onto one
-    target, say) is read as written, so that ``validate_scaffolding`` can
-    report it. ``inverse`` is built on the first ``delta_inv`` call.
+    ``from_json`` converts the records of a parsed document the same way.
+    ``L`` must be an int >= 0 (not a bool), every key a point of the
+    triangle of side L, and every record must have a step in U, F, D, an
+    out_step in s1, s2, s3 and cells that are pairs of integers, or
+    ValueError is raised (KeyError for a missing field). A record that
+    breaks the bijection (two records onto one target, say) is read as
+    written, so that ``validate_scaffolding`` can report it. ``inverse`` is
+    built on the first ``delta_inv`` call.
     """
 
     def __init__(self, L, seed=None, tables=None):
@@ -240,14 +242,19 @@ class RandomScaffolding(Scaffolding):
 
     @classmethod
     def from_json(cls, doc):
+        L = doc["L"]
+        if type(L) is not int or L < 0:
+            raise ValueError(f"L is {L!r}, not an int >= 0")
         tables = {}
         for key, recs in doc["tables"].items():
             z = tuple(int(t) for t in key.split(","))
+            if len(z) != 3 or min(z) < 0 or sum(z) != L:
+                raise ValueError(f"table {key} is not a point of the triangle of side {L}")
             if type(recs) is not list:
                 raise ValueError(f"table {key} is not a list of records")
             # loads has converted the records while parsing
             tables[z] = dict(r if type(r) is tuple else _record(r) for r in recs)
-        return cls(doc["L"], seed=doc.get("seed"), tables=tables)
+        return cls(L, seed=doc.get("seed"), tables=tables)
 
     def dumps(self):
         """``json.dumps(self.to_json(), sort_keys=True)``, written in one pass."""

@@ -112,8 +112,9 @@ def check_transform_bijection(max_L=4, max_n=6, dims=(2, 3), trials=500, seed=7)
                             images.add(q)
                         if len(images) != len(paths):
                             return res.fail((d, L, dv, target), "not injective")
-            # randomized schedules agree with the canonical one
-            for _ in range(trials):
+            # randomized schedules agree with the canonical one; a grid
+            # without letters has no schedules to draw
+            for _ in range(trials if max_n >= 1 else 0):
                 n = rng.randint(1, max_n)
                 dv = "".join(rng.choice("FB") for _ in range(n))
                 paths = lattice.enumerate_paths(L, d, z, dv)
@@ -172,7 +173,9 @@ def check_tiling(max_L=3, max_n=5):
                             res.checked += 1
                             if flips.read_path(t, w) != flips.transform(p, w):
                                 return res.fail((p, w), "readout")
-    if pair_tops != {(j, -k) for j in (1, 2, 3) for k in (1, 2, 3)}:
+    nine = {(j, -k) for j in (1, 2, 3) for k in (1, 2, 3)}
+    # grids below L = 2 or n = 3 are too small to show all nine tops
+    if not pair_tops <= nine or (max_L >= 2 and max_n >= 3 and pair_tops != nine):
         return res.fail(sorted(pair_tops), "tile tops not the 9 pairs")
     return res
 
@@ -531,6 +534,9 @@ def run_suite(suite="all", max_L=None, max_n=None):
     ``max_L``/``max_n`` shrink the default grids uniformly when given;
     checks whose signature lacks the parameter ignore it.
     """
+    for name, v in (("max_L", max_L), ("max_n", max_n)):
+        if v is not None and v < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={v}")
     names = sorted(SUITES) if suite == "all" else [suite]
     results = []
     for name in names:

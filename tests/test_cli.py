@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -210,6 +211,14 @@ def test_verify_subcommand(capsys):
     assert any(line.startswith("PASS") for line in human)
 
 
+@pytest.mark.parametrize("max_L, max_n", [(0, 0), (1, 5), (2, 2), (4, 1)])
+def test_verify_passes_on_shrunk_grids(capsys, max_L, max_n):
+    # too small to show all nine tile tops, or to draw a transport schedule
+    code, human, doc = run(capsys, "verify", "--suite", "all", "--max-L", str(max_L),
+                           "--max-n", str(max_n))
+    assert code == 0 and doc["ok"] is True, human
+
+
 def test_error_reporting(capsys):
     code = cli.main(["count", "motzkin", "--n", "-1", "--amplitude", "3"])
     out = capsys.readouterr()
@@ -293,88 +302,102 @@ def test_reports_are_deterministic(capsys):
     assert a == b
 
 
-def test_every_operation_is_reachable():
-    # the coverage table names a real callable for every entry, and every
-    # advertised subcommand appears in it
-    import triwalks
+# one small run of each subcommand form that README.md does not show
+UNSHOWN_ARGVS = [
+    "count generic --d 4 --L 2 --n 2",
+    "count motzkin --n 4 --amplitude 3 --start-height 1",
+    "count bicolored --L 3 --p 2 --q 1",
+    "count waffle --L 3 --n 4",
+    "count pyramid --L 2 --n 3 --orientation B",
+    "count triangular --d 4 --L 2 --dv FBF",
+    "enumerate motzkin --n 3 --amplitude 2",
+    "map --method omega --direction t2m --L 3 's1 s1 s2 s3'",
+    "map --scaffolding random:5 --direction t2m --L 4 's1 s1 s2'",
+    "map --scaffolding-file scaf.json --direction t2m --L 4 's1 s2'",
+    "map --method trapezium --bicolored one --L 3 UfD",
+    "sample motzkin --n 4 --amplitude 3 --seed 1",
+    "pyramid count --L 2 --n 4",
+    "pyramid gf --L 2 --terms 4",
+]
 
-    for dotted in cli.OPERATION_COVERAGE:
-        obj = triwalks
-        for part in dotted.split("."):
-            obj = getattr(obj, part)
-        assert callable(obj), dotted
-    subcommands = {"count", "enumerate", "map", "sample", "profile", "gf",
-                   "pyramid", "verify"}
-    covered = {v.split()[0] for v in cli.OPERATION_COVERAGE.values()}
-    assert covered == subcommands
-
-
-# a small run of each command named by a pyramid3d row of the coverage table
-PYRAMID_ROW_ARGVS = {
-    "pyramid count": "pyramid count --L 3 --n 4",
-    "count waffle": "count waffle --L 3 --n 4",
-    "pyramid map": "pyramid map --L 4 --cell 0,0 --walk ENSWEENS",
-    "gf": "gf --L 3 --terms 5",
-    "verify --suite pyramid": "verify --suite pyramid --max-L 2 --max-n 2",
+# public names that no command reaches
+NOT_REACHED = {
+    # library entry points without a command
+    "flips.FlipEvent.to_json", "flips.last_step_flip", "flips.swap_flip",
+    "flips.transform_with_trace", "lattice.enumerate_generic", "motzkin.MotzkinWord.to_word",
+    "profiles.CheckResult.summary", "pyramid3d.anchored_region",
+    "scaffold2d.RandomScaffolding.to_json", "scaffold2d.TrapeziumScaffolding.case",
+    # wrappers kept because the benchmark's tracer wraps them by name
+    "scaffold2d.build_random_scaffolding", "scaffold2d.trapezium_delta",
+    "scaffold2d.trapezium_scaffolding",
+    # abstract methods, overridden by both scaffoldings
+    "scaffold2d.Scaffolding.delta", "scaffold2d.Scaffolding.delta_inv",
+    # reached only when a check fails
+    "profiles.CheckResult.counterexample", "profiles.CheckResult.fail",
 }
 
 
-@pytest.mark.parametrize("command", sorted(PYRAMID_ROW_ARGVS))
-def test_pyramid_rows_are_reached_by_their_command(command, capsys):
-    # run the command under sys.setprofile and record which pyramid3d
-    # functions it calls: every row naming this command must be among them
+def _public_functions():
+    """code object -> dotted name, for every public function of the package
+    and every public method or property of its public classes."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import triwalks
+
+    codes = {}
+    for info in pkgutil.iter_modules(triwalks.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"triwalks.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                if attr is not None and attr.startswith("_"):
+                    continue
+                if hasattr(member, "cache_clear"):
+                    member.cache_clear()  # a cached function runs only on a miss
+                for unwrap in ("__func__", "fget", "func", "__wrapped__"):
+                    member = getattr(member, unwrap, member)
+                if inspect.isfunction(member):
+                    dotted = f"{info.name}.{name}" + (f".{attr}" if attr else "")
+                    codes[member.__code__] = dotted
+    return codes
+
+
+def test_every_operation_is_reachable(tmp_path, monkeypatch, capsys):
+    # run the README examples, a shrunk verify --suite all and the forms the
+    # README does not show under sys.setprofile: together they reach every
+    # public function and method, except the names in NOT_REACHED, which
+    # none of them reaches
+    import shlex
     import sys
 
-    from triwalks import pyramid3d
-
-    tags = {k: v for k, v in cli.OPERATION_COVERAGE.items() if k.startswith("pyramid3d.")}
-    assert set(tags.values()) == set(PYRAMID_ROW_ARGVS)
-    names = {k.split(".", 1)[1] for k, v in tags.items() if v == command}
-    codes = {getattr(pyramid3d, name).__code__: name for name in names}
+    codes = _public_functions()
+    assert NOT_REACHED <= set(codes.values())
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "readme_cli.json").read_text())
+    argvs = [case["argv"] for case in golden]
+    argvs += [["verify", "--suite", "all", "--max-L", "3", "--max-n", "3"]]
+    argvs += [shlex.split(argv) for argv in UNSHOWN_ARGVS]
+    monkeypatch.chdir(tmp_path)  # `scaffolding --out scaf.json` writes here
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     reached = set()
 
     def profiler(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             reached.add(codes[frame.f_code])
 
-    sys.setprofile(profiler)
-    try:
-        code = cli.main(PYRAMID_ROW_ARGVS[command].split())
-    finally:
-        sys.setprofile(None)
-    assert code == 0, capsys.readouterr()
-    assert reached == names
-
-
-# the DP rows that the served counts no longer reach, with a small run of the
-# command each is tagged with
-DP_ROW_ARGVS = {
-    "lattice.count_paths": "verify --suite counts --max-L 2 --max-n 2",
-    "lattice.count_generic": "count generic --d 4 --L 2 --n 2",
-}
-
-
-@pytest.mark.parametrize("dotted", sorted(DP_ROW_ARGVS))
-def test_dp_rows_are_reached_by_their_command(dotted, capsys):
-    import sys
-
-    argv = DP_ROW_ARGVS[dotted]
-    assert argv.startswith(cli.OPERATION_COVERAGE[dotted] + " ")
-    code_obj = getattr(lattice, dotted.split(".")[1]).__code__
-    reached = []
-
-    def profiler(frame, event, arg):
-        if event == "call" and frame.f_code is code_obj:
-            reached.append(dotted)
-
-    sys.setprofile(profiler)
-    try:
-        code = cli.main(argv.split())
-    finally:
-        sys.setprofile(None)
-    assert code == 0, capsys.readouterr()
-    assert reached
-
+    for argv in argvs:
+        sys.setprofile(profiler)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, (argv, capsys.readouterr())
+    assert reached == set(codes.values()) - NOT_REACHED
 
 def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -413,6 +436,9 @@ def test_verify_rejects_corrupted_scaffolding(tmp_path, capsys):
 BAD_RECORDS = {"step": ("step", "X"), "out_step_minus": ("out_step", "s-1"),
                "out_step_9": ("out_step", "s9"), "short_cell": ("cell", [0]),
                "str_out_cell": ("out_cell", ["1", "0"])}
+# a valid file of side L with one change at the document level: L = 1 as
+# true, or a table keyed by a point outside the triangle
+BAD_DOCUMENTS = {"bool_L": (1, "L", True), "outside_point": (3, "9,9,9", [])}
 
 
 @pytest.mark.parametrize(
@@ -425,12 +451,12 @@ BAD_RECORDS = {"step": ("step", "X"), "out_step_minus": ("out_step", "s-1"),
         ["scaffolding", "--L", "3", "--seed", "1", "--out", "{missing_dir}"],
     ] + [
         argv
-        for name in BAD_RECORDS
+        for name in [*BAD_RECORDS, *BAD_DOCUMENTS]
         for argv in (["map", "--L", "3", "--scaffolding-file", "{%s}" % name, "UFD"],
                      ["verify", "--scaffolding-file", "{%s}" % name])
     ],
     ids=["map-missing", "verify-missing", "map-no-tables", "verify-no-tables", "out-missing-dir"]
-    + [f"{cmd}-{name}" for name in BAD_RECORDS for cmd in ("map", "verify")],
+    + [f"{cmd}-{name}" for name in [*BAD_RECORDS, *BAD_DOCUMENTS] for cmd in ("map", "verify")],
 )
 def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, argv):
     from triwalks.scaffold2d import RandomScaffolding
@@ -442,6 +468,11 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
     for name, (field, value) in BAD_RECORDS.items():
         doc = RandomScaffolding(3, 5).to_json()
         doc["tables"]["0,0,3"][0][field] = value
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    for name, (L, key, value) in BAD_DOCUMENTS.items():
+        doc = RandomScaffolding(L, 5).to_json()
+        (doc if key == "L" else doc["tables"])[key] = value
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     argv = [a.format(**paths) for a in argv]
@@ -468,6 +499,9 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         "scaffolding --L -1 --seed 1",
         "count bicolored --L 3 --p 2 --q -1",
         "count bicolored --L 3 --p -1 --q 2",
+        "verify --max-L -1",
+        "verify --max-n -1",
+        "verify --suite omega --max-L 2 --max-n -3",
     ],
 )
 def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import pathlib
 
 import pytest
 
-from triwalks import lattice, motzkin, omega
+from triwalks import lattice, motzkin, omega, scaffold2d
 from triwalks.errors import HeightOutOfRange, NotInImage
 from triwalks.motzkin import MotzkinWord
 from triwalks.omega import OmegaImage
@@ -138,3 +139,20 @@ def test_call_counter_records():
     stats = {}
     omega.omega(4, 0, (1, 1, 2, 3), stats)
     assert stats["calls"] >= 1
+
+
+# sha256 of the lines "L:n:image:forward calls:inverse calls" below, taken
+# before the chain of arrows was written as data
+PINNED_IMAGES_AND_CALLS = "f1d9f04a4a584899fd79a24c0848de3797d21c32e0e5e88c51bb981ea85f3b1b"
+
+
+def test_images_and_call_counts_are_pinned():
+    digest = hashlib.sha256()
+    for L in (3, 4, 7, 8, 21):
+        for n in (50, 200):
+            walk = scaffold2d.sample_forward_path(L, n, seed=n + L)
+            fwd, inv = {}, {}
+            word = omega.forward_to_motzkin_exp(L, walk, fwd)
+            assert omega.motzkin_to_forward_exp(L, word, inv) == walk
+            digest.update(f"{L}:{n}:{word.steps}:{fwd['calls']}:{inv['calls']}\n".encode())
+    assert digest.hexdigest() == PINNED_IMAGES_AND_CALLS

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import brute_generic  # noqa: E402
-from triwalks import cli, flips, lattice, motzkin, pyramid3d  # noqa: E402
+from triwalks import cli, flips, lattice, motzkin, omega, pyramid3d  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
 
 
@@ -123,6 +123,37 @@ def test_trace_replays_to_transform(case):
             cur[i:] = flips.last_step_flip(cur[i:], d)
         assert tuple(cur[i : i + len(ev.after)]) == ev.after
     assert tuple(cur) == image
+
+
+@st.composite
+def edge_walks(draw, min_size=50, max_size=200):
+    """(L, k, walk): a side 1 <= L <= 21, a level 0 <= k <= L // 2, and a
+    forward walk from ``omega.edge_point(L, k)``, each step picked among the
+    forward steps that stay in the triangle."""
+    L = draw(st.integers(1, 21))
+    k = draw(st.integers(0, L // 2))
+    n = draw(st.integers(min_size, max_size))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    point, walk = omega.edge_point(L, k), []
+    for pick in picks:
+        options = [(s, nxt) for s in (1, 2, 3) if min(nxt := lattice.move(point, s)) >= 0]
+        s, point = options[pick % len(options)]
+        walk.append(s)
+    return L, k, tuple(walk)
+
+
+@settings(max_examples=20)
+@given(edge_walks())
+def test_omega_round_trip_from_any_level(case):
+    L, k, walk = case
+    image = omega.omega(L, k, walk)
+    if image.is_meander:
+        assert image.meander.start_height == k and motzkin.fits_amplitude(image.meander, L)
+        assert len(image.meander) == len(walk)
+    else:
+        assert k >= 1 and all(s > 0 for s in image.path)
+        lattice.validate_path(L, 2, omega.edge_point(L, k - 1), image.path)
+    assert omega.omega_inverse(L, k, image) == walk
 
 
 @st.composite
