@@ -399,6 +399,64 @@ def test_every_operation_is_reachable(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, capsys.readouterr())
     assert reached == set(codes.values()) - NOT_REACHED
 
+
+# a small run of each command that serves pyramid3d, with the pyramid3d
+# functions it must reach
+PYRAMID_ROW_ARGVS = {
+    "pyramid count": ("pyramid count --L 3 --n 4", {"forward_count"}),
+    "count waffle": ("count waffle --L 3 --n 4", {"count_waffle_walks"}),
+    "pyramid map": ("pyramid map --L 4 --cell 0,0 --walk ENSWEENS", {"waffle_to_pyramid"}),
+    "gf": ("gf --L 3 --terms 5", {"pyramid_gf_coefficients"}),
+    "verify --suite pyramid": (
+        "verify --suite pyramid --max-L 2 --max-n 2",
+        {"count_pyramid_paths", "profile3d", "anchor", "diamond_delta", "reflection_count"},
+    ),
+}
+
+
+def _reached(argv, codes, capsys):
+    """Run argv under sys.setprofile; return the names in codes it calls."""
+    import sys
+
+    reached = set()
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            reached.add(codes[frame.f_code])
+
+    sys.setprofile(profiler)
+    try:
+        code = cli.main(argv.split())
+    finally:
+        sys.setprofile(None)
+    assert code == 0, capsys.readouterr()
+    return reached
+
+
+@pytest.mark.parametrize("command", sorted(PYRAMID_ROW_ARGVS))
+def test_pyramid_rows_are_reached_by_their_command(command, capsys):
+    from triwalks import pyramid3d
+
+    argv, names = PYRAMID_ROW_ARGVS[command]
+    assert argv.startswith(command + " ")
+    codes = {getattr(pyramid3d, name).__code__: name for name in names}
+    assert _reached(argv, codes, capsys) == names
+
+
+# the DP functions that the served counts no longer reach, with a small run
+# of the command that still reaches each
+DP_ROW_ARGVS = {
+    "lattice.count_paths": "verify --suite counts --max-L 2 --max-n 2",
+    "lattice.count_generic": "count generic --d 4 --L 2 --n 2",
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(DP_ROW_ARGVS))
+def test_dp_rows_are_reached_by_their_command(dotted, capsys):
+    code_obj = getattr(lattice, dotted.split(".")[1]).__code__
+    assert _reached(DP_ROW_ARGVS[dotted], {code_obj: dotted}, capsys) == {dotted}
+
+
 def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, human, doc = run(capsys, "scaffolding", "--L", "4", "--seed", "11")
