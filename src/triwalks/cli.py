@@ -5,6 +5,12 @@ document (the machine interface) on the last line. Randomized subcommands
 require an explicit seed so that reruns are bit for bit reproducible; the
 JSON is deterministic apart from the "timing" key.
 
+Each subcommand handler returns ``(answer, human_lines)`` and prints nothing:
+``answer`` holds the document's inputs and outputs, plus checks and ok for
+verify. ``main`` alone times the handler, adds command, version, ok and
+timing, and prints the lines and then the document; on a TriwalksError or
+ValueError it prints one error document instead.
+
 Subcommands: count, enumerate, map, scaffolding, sample, profile, gf,
 pyramid, verify.
 """
@@ -21,7 +27,7 @@ import sys
 import time
 
 from . import __version__, lattice, motzkin, omega, profiles, pyramid3d, scaffold2d, verify
-from .errors import TriwalksError, UsageError
+from .errors import OutOfLattice, TriwalksError, UsageError
 from .motzkin import MotzkinWord
 
 # default directory for files written by the cli (scaffoldings, reports)
@@ -34,33 +40,25 @@ def _outpath(name):
     return base / name
 
 
-def _report(command, inputs, outputs, checks=None, seconds=None, ok=True):
-    doc = {
-        "command": command,
-        "version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "ok": bool(ok),
-    }
-    if checks is not None:
-        doc["checks"] = checks
-    doc["timing"] = {"seconds": seconds}
-    return doc
-
-
-def _emit(doc, human_lines):
-    for line in human_lines:
-        print(line)
-    print(json.dumps(doc, sort_keys=True))
-    return 0 if doc["ok"] else 1
+def _method(flag):
+    """A --method or --scaffolding value, checked while the command line is
+    parsed: omega, trapezium or random:<seed> with an int seed."""
+    if flag in ("omega", "trapezium"):
+        return flag
+    kind, _, seed = flag.partition(":")
+    if kind == "random":
+        try:
+            int(seed)
+            return flag
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"want omega, trapezium or random:<seed>, got {flag!r}")
 
 
 def _scaffolding_from_flag(flag, L):
     if flag == "trapezium":
         return scaffold2d.TrapeziumScaffolding(L)
-    if flag.startswith("random:"):
-        return scaffold2d.RandomScaffolding(L, int(flag.split(":", 1)[1]))
-    raise UsageError(f"--scaffolding wants 'trapezium' or 'random:<seed>', got {flag!r}")
+    return scaffold2d.RandomScaffolding(L, int(flag.split(":", 1)[1]))
 
 
 def _load_scaffolding(path):
@@ -84,8 +82,14 @@ def _served_count(d):
 
 # -- subcommand handlers -------------------------------------------------------
 
+def _start(args, d):
+    """The --start point, or the corner of the lattice of side --L in dimension
+    d; L and d are checked either way."""
+    corner = lattice.origin(args.L, d)
+    return lattice.parse_point(args.start) if args.start else corner
+
+
 def cmd_count(args):
-    t0 = time.perf_counter()
     if args.family == "motzkin":
         value = motzkin.count_paths_by_amplitude(args.n, args.amplitude)
         inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude}
@@ -93,9 +97,12 @@ def cmd_count(args):
             value = motzkin.count_meanders(args.amplitude, args.n, args.start_height)
             inputs["start_height"] = args.start_height
     elif args.family == "triangular":
-        start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, args.d)
+        start = _start(args, args.d)
         if args.n < 0:
             raise ValueError(f"need n >= 0, got n={args.n}")
+        if args.dv is not None and args.n and len(args.dv) != args.n:
+            raise UsageError(f"triwalks {args.cmd}: argument --dv: {len(args.dv)} letters, "
+                             f"but --n is {args.n}")
         dv = args.dv if args.dv else "F" * args.n
         served = _served_count(args.d)
         if served:  # by direction-vector independence
@@ -107,7 +114,7 @@ def cmd_count(args):
         inputs = {"family": "triangular", "L": args.L, "d": args.d,
                   "start": lattice.format_point(start), "dv": dv}
     elif args.family == "generic":
-        start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, args.d)
+        start = _start(args, args.d)
         served = _served_count(args.d)
         if served:  # each of the 2^n direction vectors counts like "F" * n
             value = served(args.L, start, args.n) << args.n
@@ -124,7 +131,7 @@ def cmd_count(args):
         value = math.comb(p + q, p) * motzkin.count_paths_by_amplitude(p + q, args.L)
         inputs = {"family": "bicolored", "L": args.L, "p": p, "q": q}
     elif args.family == "pyramid":
-        start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, 3)
+        start = _start(args, 3)
         # backward walks count like forward ones, by direction-vector independence
         value = pyramid3d.forward_count(args.L, start, args.n)
         inputs = {"family": "pyramid", "L": args.L, "n": args.n,
@@ -134,13 +141,10 @@ def cmd_count(args):
         value = pyramid3d.count_waffle_walks(args.L, args.n, start)
         inputs = {"family": "waffle", "L": args.L, "n": args.n,
                   "start": ",".join(map(str, start))}
-    doc = _report("count", inputs, {"count": str(value)},
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"count = {value}"])
+    return {"inputs": inputs, "outputs": {"count": str(value)}}, [f"count = {value}"]
 
 
 def cmd_enumerate(args):
-    t0 = time.perf_counter()
     if args.family == "motzkin":
         words = motzkin.enumerate_meanders(args.n, args.amplitude, args.start_height,
                                            cap=args.cap)
@@ -148,18 +152,16 @@ def cmd_enumerate(args):
         inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude,
                   "start_height": args.start_height}
     else:
-        start = lattice.parse_point(args.start) if args.start else lattice.origin(args.L, args.d)
+        start = _start(args, args.d)
         paths = lattice.enumerate_paths(args.L, args.d, start, args.dv, cap=args.cap)
         out = [lattice.format_steps(p) for p in paths]
         inputs = {"family": "triangular", "L": args.L, "d": args.d,
                   "start": lattice.format_point(start), "dv": args.dv}
-    doc = _report("enumerate", inputs, {"count": len(out), "items": out},
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"{len(out)} objects"] + out[:20])
+    return ({"inputs": inputs, "outputs": {"count": len(out), "items": out}},
+            [f"{len(out)} objects"] + out[:20])
 
 
 def cmd_map(args):
-    t0 = time.perf_counter()
     method = args.method or args.scaffolding or "trapezium"
     if args.scaffolding_file:
         method = f"file:{args.scaffolding_file}"
@@ -197,12 +199,10 @@ def cmd_map(args):
             outputs = {"motzkin": word.steps, "start_height": 0,
                        "amplitude": motzkin.amplitude(word)}
             human = f"motzkin word: {word.steps}"
-    doc = _report("map", inputs, outputs, seconds=time.perf_counter() - t0)
-    return _emit(doc, [human])
+    return {"inputs": inputs, "outputs": outputs}, [human]
 
 
 def cmd_sample(args):
-    t0 = time.perf_counter()
     if args.family == "motzkin":
         word = motzkin.uniform_sample(args.n, args.amplitude, seed=args.seed)
         outputs = {"motzkin": word.steps}
@@ -214,29 +214,26 @@ def cmd_sample(args):
         outputs = {"path": lattice.format_steps(path)}
         human = f"sampled path: {lattice.format_steps(path) or '(empty)'}"
         inputs = {"family": "forward", "L": args.L, "n": args.n, "seed": args.seed}
-    doc = _report("sample", inputs, outputs, seconds=time.perf_counter() - t0)
-    return _emit(doc, [human])
+    return {"inputs": inputs, "outputs": outputs}, [human]
 
 
 def cmd_profile(args):
-    t0 = time.perf_counter()
     z = lattice.parse_point(args.point)
     L = sum(z)
+    if len(z) != 3 or min(z) < 0:
+        raise OutOfLattice(f"point {z} not in the lattice of side {L}, d=2")
     prof = profiles.profile(z)
     cells = profiles.cell_representation(z)
     outputs = {"profile": list(prof), "cells": [list(c) for c in cells]}
-    doc = _report("profile", {"point": args.point, "L": L}, outputs,
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"profile {list(prof)}", f"cells {cells}"])
+    return ({"inputs": {"point": args.point, "L": L}, "outputs": outputs},
+            [f"profile {list(prof)}", f"cells {cells}"])
 
 
-def cmd_gf(args, command="gf"):
-    t0 = time.perf_counter()
+def cmd_gf(args):
     coeffs = pyramid3d.pyramid_gf_coefficients(args.L, args.terms)
-    doc = _report(command, {"L": args.L, "terms": args.terms},
-                  {"coefficients": [str(c) for c in coeffs]},
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"coefficients: {coeffs}"])
+    return ({"inputs": {"L": args.L, "terms": args.terms},
+             "outputs": {"coefficients": [str(c) for c in coeffs]}},
+            [f"coefficients: {coeffs}"])
 
 
 def _command(args):
@@ -246,26 +243,21 @@ def _command(args):
 
 
 def cmd_pyramid(args):
-    t0 = time.perf_counter()
     if args.action == "count":
         value = pyramid3d.forward_count(args.L, lattice.origin(args.L, 3), args.n)
-        doc = _report(_command(args), {"L": args.L, "n": args.n},
-                      {"count": str(value)}, seconds=time.perf_counter() - t0)
-        return _emit(doc, [f"count = {value}"])
+        return ({"inputs": {"L": args.L, "n": args.n}, "outputs": {"count": str(value)}},
+                [f"count = {value}"])
     if args.action == "gf":
-        return cmd_gf(args, _command(args))
+        return cmd_gf(args)
     # map: waffle walk to pyramid walk
     start = lattice.parse_point(args.cell)
     path = pyramid3d.waffle_to_pyramid(lattice.origin(args.L, 3), start, args.walk)
-    doc = _report(_command(args),
-                  {"L": args.L, "cell": args.cell, "walk": args.walk},
-                  {"path": lattice.format_steps(path)},
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"path: {lattice.format_steps(path)}"])
+    return ({"inputs": {"L": args.L, "cell": args.cell, "walk": args.walk},
+             "outputs": {"path": lattice.format_steps(path)}},
+            [f"path: {lattice.format_steps(path)}"])
 
 
 def cmd_scaffolding(args):
-    t0 = time.perf_counter()
     scaf = scaffold2d.RandomScaffolding(args.L, args.seed)
     try:
         out = pathlib.Path(args.out) if args.out else _outpath(
@@ -274,23 +266,21 @@ def cmd_scaffolding(args):
         out.write_text(scaf.dumps())
     except OSError as exc:
         raise UsageError(f"cannot write the scaffolding: {exc}") from None
-    doc = _report("scaffolding", {"L": args.L, "seed": args.seed},
-                  {"file": str(out), "points": len(scaf.tables)},
-                  seconds=time.perf_counter() - t0)
-    return _emit(doc, [f"wrote {out}"])
+    return ({"inputs": {"L": args.L, "seed": args.seed},
+             "outputs": {"file": str(out), "points": len(scaf.tables)}},
+            [f"wrote {out}"])
 
 
 def cmd_verify(args):
-    t0 = time.perf_counter()
     if args.scaffolding_file:
         scaf = _load_scaffolding(args.scaffolding_file)
         rep = scaffold2d.validate_scaffolding(scaf)
-        doc = _report("verify", {"scaffolding_file": args.scaffolding_file},
-                      {"checked": rep.checked,
-                       "violations": [repr(v) for v in rep.violations[:10]]},
-                      seconds=time.perf_counter() - t0, ok=rep.ok)
         state = "valid" if rep.ok else f"INVALID ({len(rep.violations)} violations)"
-        return _emit(doc, [f"scaffolding {state}"])
+        return ({"inputs": {"scaffolding_file": args.scaffolding_file},
+                 "outputs": {"checked": rep.checked,
+                             "violations": [repr(v) for v in rep.violations[:10]]},
+                 "ok": rep.ok},
+                [f"scaffolding {state}"])
     results = verify.run_suite(args.suite, max_L=args.max_L, max_n=args.max_n)
     human = []
     for r in results:
@@ -299,12 +289,10 @@ def cmd_verify(args):
         if not r.ok:
             human.append(f"     counterexample: {r.counterexample!r}")
     ok = all(r.ok for r in results)
-    doc = _report("verify", {"suite": args.suite, "max_L": args.max_L,
-                             "max_n": args.max_n},
-                  {"passed": sum(r.ok for r in results), "total": len(results)},
-                  checks=[r.to_json() for r in results],
-                  seconds=time.perf_counter() - t0, ok=ok)
-    return _emit(doc, human + [("all checks passed" if ok else "CHECKS FAILED")])
+    return ({"inputs": {"suite": args.suite, "max_L": args.max_L, "max_n": args.max_n},
+             "outputs": {"passed": sum(r.ok for r in results), "total": len(results)},
+             "checks": [r.to_json() for r in results], "ok": ok},
+            human + [("all checks passed" if ok else "CHECKS FAILED")])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,9 +338,9 @@ def build_parser():
     m = sub.add_parser("map", help="apply one of the bijections")
     m.add_argument("input", help="a walk 's1 s2 ...' or a Motzkin word 'UFD...'")
     m.add_argument("--L", type=int, required=True)
-    m.add_argument("--method", default=None,
+    m.add_argument("--method", type=_method, default=None,
                    help="omega | trapezium | random:<seed>")
-    m.add_argument("--scaffolding", default=None,
+    m.add_argument("--scaffolding", type=_method, default=None,
                    help="trapezium | random:<seed> (alias of --method)")
     m.add_argument("--direction", choices=["m2t", "t2m"], default="m2t")
     m.add_argument("--bicolored", choices=["one", "two"], default=None)
@@ -409,7 +397,9 @@ def main(argv=None):
     args = None
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        t0 = time.perf_counter()
+        answer, human_lines = args.fn(args)
+        seconds = time.perf_counter() - t0
     except SystemExit as exc:  # --help; a bad command line raises UsageError instead
         return exc.code if isinstance(exc.code, int) else 2
     except (TriwalksError, ValueError) as exc:
@@ -417,6 +407,12 @@ def main(argv=None):
         command = _command(args) if args else None
         print(json.dumps({"command": command, "ok": False, "error": str(exc)}))
         return 2 if isinstance(exc, UsageError) else 1
+    doc = {"command": _command(args), "version": __version__, **answer,
+           "ok": bool(answer.get("ok", True)), "timing": {"seconds": seconds}}
+    for line in human_lines:
+        print(line)
+    print(json.dumps(doc, sort_keys=True))
+    return 0 if doc["ok"] else 1
 
 
 if __name__ == "__main__":

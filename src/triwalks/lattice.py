@@ -196,6 +196,8 @@ def walks(start, n, neighbours, ends, cap=DEFAULT_CAP):
     keeps its own stack, so no length reaches the recursion limit. More than
     ``cap`` walks raise CapExceeded.
     """
+    if cap < 0:
+        raise ValueError(f"need cap >= 0, got cap={cap}")
     layers = [{start: None}]  # layers[i]: the points reached after i moves
     for i in range(n):
         layer, reached = layers[i], {}

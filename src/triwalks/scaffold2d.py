@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from itertools import repeat
 
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
 from .lattice import all_points, forward_neighbours, move, origin
@@ -52,19 +53,7 @@ class Scaffolding:
             word = MotzkinWord(word)
         if not word.is_path:
             raise AmplitudeExceeded("input must start at height 0")
-        z = origin(self.L)
-        cell = (0, 0)
-        steps = []
-        for ch in word.steps:
-            try:
-                j, cell = self.delta(z, cell, ch)
-            except NotAllowed:
-                raise AmplitudeExceeded(
-                    f"word does not fit in a triangle of side {self.L}"
-                ) from None
-            steps.append(j)
-            z = move(z, j)
-        return tuple(steps)
+        return self._run(word.steps, repeat("b"))
 
     def triangular_to_motzkin(self, steps):
         """Inverse transducer: consume the walk from its far end."""
@@ -115,24 +104,31 @@ class Scaffolding:
             return transform(fwd, dv)
         if method != "two":
             raise ValueError(f"unknown method {method!r}")
-        colors = word.colors or "b" * len(word.steps)
+        return self._run(word.steps, word.colors or repeat("b"))
+
+    def _run(self, letters, colors):
+        """The transducer: one lookup per letter from the origin's height-0
+        cell, in the reverse table for a white letter.
+
+        Neither scaffolding has an entry at a point off the triangle, so a
+        step that leaves it fails the next lookup; only the last step needs a
+        bounds check.
+        """
         z = origin(self.L)
         cell = (0, 0)
         out = []
-        for ch, col in zip(word.steps, colors):
-            try:
-                if col == "b":
-                    s, cell = self.delta(z, cell, ch)
-                else:
-                    s, cell = self.delta_bar(z, cell, ch)
-            except NotAllowed:
+        try:
+            for ch, col in zip(letters, colors):
+                s, cell = self.delta(z, cell, ch) if col == "b" else self.delta_bar(z, cell, ch)
+                out.append(s)
+                z = move(z, s)
+        except NotAllowed:
+            if min(z) >= 0:
                 raise AmplitudeExceeded(
                     f"word does not fit in a triangle of side {self.L}"
                 ) from None
-            out.append(s)
-            z = move(z, s)
-            if min(z) < 0:
-                raise AmplitudeExceeded(f"left the triangle of side {self.L}")
+        if min(z) < 0:
+            raise AmplitudeExceeded(f"left the triangle of side {self.L}")
         return tuple(out)
 
 

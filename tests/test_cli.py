@@ -234,12 +234,32 @@ def test_error_reporting(capsys):
         "count pyramid --L 2 --start 0,0,0,5",
         "count triangular --d 3 --L 3 --start 0,0,5",
         "count generic --d 3 --L 3 --n 2 --start 0,0,0,5",
+        "profile --point 1,-1,2",
+        "profile --point 1,2",
+        "profile --point 1,2,3,4",
     ],
 )
 def test_off_lattice_start_is_one_error_document(capsys, argv):
     code, human, doc = run(capsys, *argv.split())
     assert code == 1 and human == []
     assert doc["ok"] is False and "not in the lattice" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count triangular --d -1 --L 3 --start 0,0,3",
+        "count triangular --d 0 --L 3 --start 3",
+        "count generic --d 0 --L 3 --n 2 --start 3",
+        "enumerate triangular --d -1 --L 3 --dv F --start 0,3",
+    ],
+)
+def test_dimension_below_one_is_rejected_with_a_start(capsys, argv):
+    # found by the argv fuzz: with --start, d = -1 failed inside itertools and
+    # d = 0 answered, where the corner start rejects both
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 1 and human == []
+    assert doc["ok"] is False and "d >= 1" in doc["error"]
 
 
 @pytest.mark.parametrize(
@@ -474,6 +494,24 @@ def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     assert code == 0 and doc["ok"]
 
 
+@pytest.mark.parametrize("word", ["F", "FF"])
+@pytest.mark.parametrize("flags", [["--direction", "m2t"], ["--bicolored", "two"]])
+def test_scaffolding_file_step_off_the_triangle_is_one_error_document(tmp_path, capsys,
+                                                                      flags, word):
+    # at (0, 0, 1) the file steps s2, off the triangle of side 1: as the last
+    # letter, or before a lookup that then fails
+    from triwalks.scaffold2d import RandomScaffolding
+
+    doc = RandomScaffolding(1, 0).to_json()
+    doc["tables"]["0,0,1"][0]["out_step"] = "s2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, human, rep = run(capsys, "map", "--scaffolding-file", str(bad), *flags,
+                           "--L", "1", word)
+    assert code == 1 and human == []
+    assert rep["ok"] is False and rep["error"] == "left the triangle of side 1"
+
+
 def test_verify_rejects_corrupted_scaffolding(tmp_path, capsys):
     import json as _json
     from triwalks.scaffold2d import RandomScaffolding
@@ -560,6 +598,8 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         "verify --max-L -1",
         "verify --max-n -1",
         "verify --suite omega --max-L 2 --max-n -3",
+        "enumerate triangular --L 2 --dv F --cap -1",
+        "enumerate motzkin --n 2 --amplitude 2 --cap -1",
     ],
 )
 def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):
@@ -587,7 +627,12 @@ def test_both_gf_commands_share_one_handler(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", ["count --n x", "", "frobnicate", "enumerate waffle"], ids=repr
+    "argv",
+    ["count --n x", "", "frobnicate", "enumerate waffle",
+     "count triangular --L 3 --n 2 --dv FFF", "count triangular --L 3 --n 3 --dv F",
+     "map --method random:x --L 3 UD", "map --scaffolding random: --L 3 UD",
+     "map --method bogus --L 3 UD"],
+    ids=repr,
 )
 def test_bad_command_lines_are_one_error_document(capsys, argv):
     code = cli.main(argv.split())
@@ -614,3 +659,123 @@ def test_enumeration_past_the_recursion_limit(capsys, argv):
     code, human, doc = run(capsys, *argv)
     assert code == 0 and doc["ok"] is True
     assert doc["outputs"]["count"] == 1 and len(doc["outputs"]["items"][0]) >= 1100
+
+
+def test_handlers_return_their_answer_and_print_nothing(tmp_path, monkeypatch, capsys):
+    # the handler contract: (answer, human_lines), with the document's inputs
+    # and outputs in the answer; only main prints
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "readme_cli.json").read_text())
+    monkeypatch.chdir(tmp_path)  # `scaffolding --out scaf.json` writes here
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    for case in golden:
+        args = cli.build_parser().parse_args(case["argv"])
+        answer, human_lines = args.fn(args)
+        assert capsys.readouterr() == ("", ""), case["argv"]
+        assert all(isinstance(line, str) for line in human_lines)
+        for key in ("inputs", "outputs"):
+            assert json.loads(json.dumps(answer[key])) == case["doc"][key], case["argv"]
+
+
+# -- argv fuzz: every run is one JSON document and an exit code in {0, 1, 2}
+
+def _fuzz_strategies():
+    from hypothesis import strategies as st
+
+    size = st.integers(-2, 5).map(str)
+    junk = st.sampled_from(["x", "", "1.5", "-"])
+    point = st.lists(st.integers(-1, 4), max_size=5).map(lambda c: ",".join(map(str, c)))
+    steps = st.lists(st.sampled_from(["s1", "s2", "s3", "-s1", "-s2", "-s3", "s0", "s4", "s"]),
+                     max_size=6).map(" ".join)
+    files = st.sampled_from(["{dir}/valid.json", "{dir}/off.json", "{dir}/junk.json",
+                             "{dir}/missing.json"])
+    flags = {
+        "count": {"--n": size, "--amplitude": size, "--start-height": size, "--L": size,
+                  "--d": size, "--dv": st.text("FBX", max_size=5), "--start": point | junk,
+                  "--p": size, "--q": size, "--orientation": st.sampled_from("FB")},
+        "enumerate": {"--n": size, "--amplitude": size, "--start-height": size, "--L": size,
+                      "--d": size, "--dv": st.text("FBX", max_size=5), "--start": point | junk,
+                      "--cap": size},
+        "map": {"--scaffolding-file": files,
+                "--direction": st.sampled_from(["m2t", "t2m"]),
+                "--bicolored": st.sampled_from(["one", "two"]),
+                **dict.fromkeys(["--method", "--scaffolding"], st.sampled_from(
+                    ["omega", "trapezium", "random:3", "random:-1", "random:x", "random:",
+                     "bogus"]))},
+        "sample": {"--amplitude": size, "--L": size},
+        "gf": {"--terms": size},
+        "pyramid": {"--n": size, "--terms": size, "--cell": point | junk,
+                    "--walk": st.text("NSEWX", max_size=6)},
+        "verify": {"--scaffolding-file": files},
+    }
+    positional = {
+        "count": st.sampled_from(["motzkin", "triangular", "generic", "bicolored", "pyramid",
+                                  "waffle"]),
+        "enumerate": st.sampled_from(["motzkin", "triangular"]),
+        "map": st.text("UFDufdX", max_size=8) | steps,
+        "sample": st.sampled_from(["motzkin", "forward"]),
+        "pyramid": st.sampled_from(["count", "map", "gf"]),
+    }
+    # always given: the required flags, a small verify grid, and a file under
+    # the test's directory. The all and scaffold suites draw samples at fixed
+    # sizes (about 0.9 s a run); test_verify_passes_on_shrunk_grids runs them
+    always = {
+        "map": {"--L": size},
+        "scaffolding": {"--L": size, "--seed": size | junk,
+                        "--out": st.sampled_from(["{dir}/out.json", "{dir}/missing/x.json"])},
+        "sample": {"--n": size, "--seed": size | junk},
+        "profile": {"--point": point | junk},
+        "gf": {"--L": size},
+        "pyramid": {"--L": size},
+        "verify": {"--max-L": st.integers(-2, 2).map(str),
+                   "--max-n": st.integers(-2, 2).map(str),
+                   "--suite": st.sampled_from(["counts", "flips", "omega", "profiles",
+                                               "pyramid"])},
+    }
+
+    @st.composite
+    def argvs(draw):
+        cmd = draw(st.sampled_from(sorted(flags.keys() | always.keys())))
+        argv = [cmd] + ([draw(positional[cmd])] if cmd in positional else [])
+        for flag, values in flags.get(cmd, {}).items():
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+        for flag, values in always.get(cmd, {}).items():
+            argv += [flag, draw(values)]
+        return argv
+
+    return argvs()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from triwalks.scaffold2d import RandomScaffolding
+
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "valid.json").write_text(RandomScaffolding(3, 5).dumps())
+    off = RandomScaffolding(1, 0).to_json()
+    off["tables"]["0,0,1"][0]["out_step"] = "s2"  # steps off the triangle
+    (base / "off.json").write_text(json.dumps(off))
+    (base / "junk.json").write_text('{"bad": 1}')
+    return base
+
+
+def test_argv_fuzz_gives_one_document_and_a_known_exit_code(fuzz_dir):
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(_fuzz_strategies())
+    def one_run(argv):
+        argv = [a.format(dir=fuzz_dir) for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2), argv
+        assert [line for line in lines if line.startswith("{")] == lines[-1:], argv
+        doc = json.loads(lines[-1])
+        assert doc["ok"] is (code == 0), argv
+
+    one_run()
