@@ -1,10 +1,11 @@
-"""Per-layer timings of the scaffolding transducers, the forward sampler and
-the 3d scaffolding, end-to-end timings of large ``count`` commands and of
-saving a random scaffolding, and the time and memory of reading that file
-back, written to a BENCH_*.json file.
+"""Per-layer timings of the scaffolding transducers, the forward sampler, the
+3d scaffolding and the sampler and trapezium checks of ``verify``, end-to-end timings of
+large ``count`` and ``sample`` commands and of saving a random scaffolding,
+and the time and memory of the samples and of reading that file back,
+written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_12.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_12.json
+    PYTHONPATH=src python bench/micro.py --label change --out BENCH_15.json
+    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_15.json
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
@@ -13,9 +14,9 @@ already in the output file are kept, so one file holds a before/after pair.
 Standard library only.
 
 The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
-they time the command a user runs, whatever code serves it. The
-``RandomScaffolding.loads`` row also stores the peak of memory allocated
-during one more, untimed call (``tracemalloc``), in bytes.
+they time the command a user runs, whatever code serves it. The ``cli
+sample`` rows and the ``RandomScaffolding.loads`` row also store the peak of
+memory allocated during one more, untimed call (``tracemalloc``), in bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import tempfile
 import time
 import tracemalloc
 
-from triwalks import cli, motzkin, pyramid3d, scaffold2d
+from triwalks import cli, motzkin, pyramid3d, scaffold2d, verify
 
 REPEATS = 5
 
@@ -43,6 +44,16 @@ def best_of(fn, *args):
         fn(*args)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def peak_bytes(fn, *args):
+    """The peak of memory allocated during one more, untimed call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def waffle_walk(L, n, seed):
@@ -71,6 +82,11 @@ COUNT_ARGVS = [
     "count triangular --d 3 --L 30 --n 400",
     "count pyramid --L 30 --n 400 --start 7,8,9,6",
     "count waffle --L 30 --n 400",
+]
+
+SAMPLE_ARGVS = [
+    "sample motzkin --n 6000 --amplitude 40 --seed 1",
+    "sample forward --n 6000 --L 40 --seed 1",
 ]
 
 
@@ -107,7 +123,16 @@ def rows():
 
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
+    # 16,000 sampler calls at L = 3, n = 4, so their per-call cost shows, and
+    # 1,000 meanders of up to 40 letters next to the trapezium rules
+    out.append(("verify.check_sampling", {}, best_of(verify.check_sampling)))
+    out.append(("verify.check_trapezium", {}, best_of(verify.check_trapezium)))
     out = [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
+
+    for argv in SAMPLE_ARGVS:
+        out.append({"name": f"cli {argv}", "params": {"argv": argv},
+                    "seconds": round(best_of(run_cli, argv.split()), 6),
+                    "tracemalloc_peak_bytes": peak_bytes(run_cli, argv.split())})
 
     argv = "scaffolding --L 25 --seed 1 --out"
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,15 +142,9 @@ def rows():
                     "seconds": round(seconds, 6)})
         with open(path) as fh:
             text = fh.read()
-    seconds = best_of(scaffold2d.RandomScaffolding.loads, text)
-    tracemalloc.start()
-    try:
-        scaffold2d.RandomScaffolding.loads(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     out.append({"name": "RandomScaffolding.loads", "params": {"file": f"cli {argv} <tmp>"},
-                "seconds": round(seconds, 6), "tracemalloc_peak_bytes": peak})
+                "seconds": round(best_of(scaffold2d.RandomScaffolding.loads, text), 6),
+                "tracemalloc_peak_bytes": peak_bytes(scaffold2d.RandomScaffolding.loads, text)})
     return out
 
 

@@ -165,6 +165,13 @@ def cmd_map(args):
     method = args.method or args.scaffolding or "trapezium"
     if args.scaffolding_file:
         method = f"file:{args.scaffolding_file}"
+    if args.bicolored:
+        if method == "omega":
+            raise UsageError("triwalks map: argument --bicolored: not allowed with "
+                             "argument --method omega")
+        if args.direction == "t2m":
+            raise UsageError("triwalks map: argument --bicolored: not allowed with "
+                             "argument --direction t2m")
     inputs = {"method": method, "direction": args.direction, "L": args.L,
               "input": args.input, "bicolored": args.bicolored}
     if method == "omega":
@@ -338,14 +345,17 @@ def build_parser():
     m = sub.add_parser("map", help="apply one of the bijections")
     m.add_argument("input", help="a walk 's1 s2 ...' or a Motzkin word 'UFD...'")
     m.add_argument("--L", type=int, required=True)
-    m.add_argument("--method", type=_method, default=None,
-                   help="omega | trapezium | random:<seed>")
-    m.add_argument("--scaffolding", type=_method, default=None,
-                   help="trapezium | random:<seed> (alias of --method)")
+    # one source of the bijection: a method, its alias, or a saved file
+    source = m.add_mutually_exclusive_group()
+    source.add_argument("--method", type=_method, default=None,
+                        help="omega | trapezium | random:<seed>")
+    source.add_argument("--scaffolding", type=_method, default=None,
+                        help="trapezium | random:<seed> (alias of --method)")
+    source.add_argument("--scaffolding-file", default=None, dest="scaffolding_file",
+                        help="replay a saved scaffolding bit for bit")
     m.add_argument("--direction", choices=["m2t", "t2m"], default="m2t")
-    m.add_argument("--bicolored", choices=["one", "two"], default=None)
-    m.add_argument("--scaffolding-file", default=None, dest="scaffolding_file",
-                   help="replay a saved scaffolding bit for bit")
+    m.add_argument("--bicolored", choices=["one", "two"], default=None,
+                   help="map a bicolored word (m2t) by a scaffolding")
     m.set_defaults(fn=cmd_map)
 
     sc = sub.add_parser("scaffolding", help="build and save a random scaffolding")

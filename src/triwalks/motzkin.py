@@ -12,6 +12,7 @@ color per step, written as case: uppercase for black, lowercase for white.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -135,17 +136,23 @@ def _next_meander_row(prev, L):
     return [u + f + d for u, f, d in zip(prev[1:] + [0], flat, [0] + prev[:-1])]
 
 
+def _meander_rows(L, n):
+    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``."""
+    if n < 0 or L < 0:
+        raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
+    row = [1] + [0] * (L // 2)
+    yield row
+    for _ in range(n):
+        row = _next_meander_row(row, L)
+        yield row
+
+
 def meander_count_table(L, n):
     """table[m][i] = number of meanders of length m from height i, amplitude <= L.
 
     Built from the first-step recurrence; row m is derived from row m - 1.
     """
-    if n < 0 or L < 0:
-        raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
-    table = [[1] + [0] * (L // 2)]
-    for _ in range(n):
-        table.append(_next_meander_row(table[-1], L))
-    return table
+    return list(_meander_rows(L, n))
 
 
 def meander_row(L, n):
@@ -154,11 +161,8 @@ def meander_row(L, n):
     The last row of ``meander_count_table``, by the same recurrence, keeping
     one row of H + 1 big ints at a time: O(n L) time and O(L) numbers of memory.
     """
-    if n < 0 or L < 0:
-        raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
-    row = [1] + [0] * (L // 2)
-    for _ in range(n):
-        row = _next_meander_row(row, L)
+    for row in _meander_rows(L, n):
+        pass
     return row
 
 
@@ -193,33 +197,56 @@ def enumerate_meanders(n, L, i=0, cap=lattice.DEFAULT_CAP):
     return [MotzkinWord("".join(w), i) for w in found]
 
 
+@functools.lru_cache(maxsize=1024)
+def _steps_from(h, L):
+    """The (letter, next height) pairs of ``allowed_steps(h, L)``."""
+    return tuple((ch, h + _HEIGHT_MOVE[ch]) for ch in allowed_steps(h, L))
+
+
 def uniform_sample(n, L, seed=None, rng=None, start_height=0):
     """Draw one meander uniformly at random, by suffix-count weighting.
 
     Exact: at every position the next letter is chosen with probability
-    proportional to the number of completions, using the big-integer count
-    table, so no rejection is ever needed.
+    proportional to the number of completions, counted in big integers, so
+    no rejection is ever needed.
+
+    The counts are the rows of ``meander_count_table``, read from row n - 1
+    down to row 0, but the table is never held. The way up keeps the height-0
+    entry of every row and the last row. The way down rebuilds each row from
+    the row above and its height-0 entry, by the first-step recurrence solved
+    for the entry one higher: below H a meander may always step up or flat, so
+    row[i] = below[i + 1] + below[i] + below[i - 1] there, whatever L's parity.
+    Only the entries up to one above the current height are rebuilt, since
+    the height moves by one per letter. So the sampler takes O(n L) big-int
+    additions, as the table does, and holds n + H + 2 counts: at n = 6000,
+    L = 40 that is about 4 MB, against 80 MB for the table.
     """
     H = L // 2
     if not 0 <= start_height <= H:
         raise HeightOutOfRange(f"start height {start_height} not in 0..{H} for L={L}")
     if rng is None:
         rng = random.Random(seed)
-    table = meander_count_table(L, n)
-    if table[n][start_height] == 0:
+    heads = []
+    for row in _meander_rows(L, n):
+        heads.append(row[0])
+    if row[start_height] == 0:
         raise EmptySet(f"no meanders of length {n} from height {start_height}, L={L}")
     h = start_height
     letters = []
-    for m in range(n, 0, -1):
-        weights = []
-        for ch in allowed_steps(h, L):
-            h2 = h + _HEIGHT_MOVE[ch]
-            weights.append((ch, h2, table[m - 1][h2]))
-        pick = rng.randrange(sum(w for _, _, w in weights))
-        for ch, h2, w in weights:
+    for m in range(n - 1, -1, -1):
+        below = [heads[m]]  # row m, rebuilt up to height h + 1
+        lower = 0
+        for i in range(min(h + 1, H)):
+            below.append(row[i] - below[i] - lower)
+            lower = below[i]
+        # the completions from h, split by their first letter
+        pick = rng.randrange(row[h])
+        for ch, h2 in _steps_from(h, L):
+            w = below[h2]
             if pick < w:
                 letters.append(ch)
                 h = h2
                 break
             pick -= w
+        row = below
     return MotzkinWord("".join(letters), start_height)

@@ -530,12 +530,12 @@ def sample_forward_path(L, n, seed=None, rng=None):
     for ch in word.steps:
         h += _HEIGHT_MOVE[ch]
         # one draw among the cells at height h of the neighbours, listed by
-        # (j, index); only the neighbour it falls in matters
+        # (j, index); only the neighbour it falls in matters. A neighbour off
+        # the triangle has no cells, so leaving it out changes no draw.
         sizes = []
-        for j in (1, 2, 3):
-            w = move(z, j)
+        for j, w in _neighbours_in_triangle(z):
             lo, hi = cell_bounds(w, h)
-            sizes.append((j, w, max(hi - lo + 1, 0) if min(w) >= 0 else 0))
+            sizes.append((j, w, max(hi - lo + 1, 0)))
         pick = rng.randrange(sum(size for _, _, size in sizes))
         for j, w, size in sizes:
             if pick < size:
@@ -544,3 +544,14 @@ def sample_forward_path(L, n, seed=None, rng=None):
         steps.append(j)
         z = w
     return tuple(steps)
+
+
+@functools.lru_cache(maxsize=4096)
+def _neighbours_in_triangle(z):
+    """The pairs (j, z + s_j) that stay in the triangle of z, by increasing j.
+
+    Cached per point rather than built per side, so that a short walk in a
+    large triangle costs no more than the points it visits.
+    """
+    targets = [(j, move(z, j)) for j in (1, 2, 3)]
+    return tuple((j, w) for j, w in targets if min(w) >= 0)

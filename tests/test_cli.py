@@ -626,12 +626,25 @@ def test_both_gf_commands_share_one_handler(capsys):
     assert a["inputs"] == b["inputs"] and a["outputs"] == b["outputs"]
 
 
+# map flags that ask for two different bijections, and the two flags each
+# error must name
+CONFLICTING_MAP_FLAGS = {
+    "map --method omega --scaffolding-file f.json --L 3 UD": ("--method", "--scaffolding-file"),
+    "map --method trapezium --scaffolding random:3 --L 3 UD": ("--method", "--scaffolding"),
+    "map --scaffolding random:3 --scaffolding-file f.json --L 3 UD":
+        ("--scaffolding", "--scaffolding-file"),
+    "map --method omega --bicolored one --L 3 UD": ("--method", "--bicolored"),
+    "map --method trapezium --bicolored two --direction t2m --L 3 UfD":
+        ("--direction", "--bicolored"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     ["count --n x", "", "frobnicate", "enumerate waffle",
      "count triangular --L 3 --n 2 --dv FFF", "count triangular --L 3 --n 3 --dv F",
      "map --method random:x --L 3 UD", "map --scaffolding random: --L 3 UD",
-     "map --method bogus --L 3 UD"],
+     "map --method bogus --L 3 UD", *CONFLICTING_MAP_FLAGS],
     ids=repr,
 )
 def test_bad_command_lines_are_one_error_document(capsys, argv):
@@ -640,6 +653,8 @@ def test_bad_command_lines_are_one_error_document(capsys, argv):
     assert code == 2 and len(out) == 1
     doc = json.loads(out[0])
     assert doc["ok"] is False and doc["error"].startswith("triwalks")
+    for flag in CONFLICTING_MAP_FLAGS.get(argv, ()):
+        assert f"argument {flag}" in doc["error"]
 
 
 def test_help_is_not_an_error(capsys):

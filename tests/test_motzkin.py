@@ -1,8 +1,10 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
-from triwalks import motzkin
+from triwalks import motzkin, scaffold2d
 from triwalks.errors import EmptySet, HeightOutOfRange, NotAPath
 from triwalks.motzkin import MotzkinWord
 
@@ -153,3 +155,49 @@ def test_uniform_sample_is_exactly_uniform():
     assert len(counts) == 8
     for c in counts.values():
         assert abs(c - draws / 8) < 5 * (draws / 8) ** 0.5
+
+
+# sha256 of the lines written below, taken while uniform_sample still kept the
+# whole meander table: the draws of both samplers, and the type and message of
+# every error, over L in -1..13, these sizes, every start height and one past
+# each end, and three seeds
+PINNED_DRAWS = "5e33a466014713912d69ad00e2c0cc6cd8c3c2917d2ef2e4fa8afc53aff119ac"
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (EmptySet, HeightOutOfRange, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_sampler_draws_are_pinned():
+    digest = hashlib.sha256()
+    for L in range(-1, 14):
+        for n in (-1, 0, 1, 2, 3, 7, 40, 300):
+            for seed in (0, 1, 2):
+                for i in range(-1, L // 2 + 2):
+                    word = _outcome(motzkin.uniform_sample, n, L, seed=seed, start_height=i)
+                    word = getattr(word, "steps", word)
+                    digest.update(f"motzkin:{L}:{n}:{i}:{seed}:{word}\n".encode())
+                path = _outcome(scaffold2d.sample_forward_path, L, n, seed=seed)
+                digest.update(f"forward:{L}:{n}:{seed}:{path}\n".encode())
+    assert digest.hexdigest() == PINNED_DRAWS
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [lambda: motzkin.uniform_sample(6000, 40, seed=1),
+     lambda: scaffold2d.sample_forward_path(40, 6000, seed=1)],
+    ids=["uniform_sample", "sample_forward_path"],
+)
+def test_samplers_do_not_hold_the_meander_table(sample):
+    # the (n+1) x (H+1) table of big ints alone is 80 MB at this size; the
+    # height-0 column is about 4 MB
+    tracemalloc.start()
+    try:
+        sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
