@@ -12,12 +12,21 @@ timing, and prints the lines and then the document; on a TriwalksError or
 ValueError it prints one error document instead.
 
 Subcommands: count, enumerate, map, scaffolding, sample, profile, gf,
-pyramid, verify.
+pyramid, verify. Four of them name a family first, and each family's parser
+takes only the flags that its handler reads:
+
+- count: motzkin, triangular, generic, bicolored, pyramid, waffle;
+- enumerate: motzkin, triangular;
+- sample: motzkin, forward;
+- pyramid: count, map, gf.
+
+Counts and coefficients are printed with all their digits, however many.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -38,6 +47,19 @@ def _outpath(name):
     base = pathlib.Path(os.environ.get(OUTPUT_DIR_ENV, "."))
     base.mkdir(parents=True, exist_ok=True)
     return base / name
+
+
+def _int(flag):
+    """An integer flag's value. int() refuses more than 4,300 digits; such a
+    value is reported as too large, without echoing its digits."""
+    try:
+        return int(flag)
+    except ValueError:
+        digits = flag.strip()
+        digits = digits[1:] if digits[:1] in "+-" else digits
+        why = (f"value too large ({len(digits)} digits)" if digits.isdecimal()
+               else f"invalid int value: {flag!r}")
+        raise argparse.ArgumentTypeError(why) from None
 
 
 def _method(flag):
@@ -89,76 +111,101 @@ def _start(args, d):
     return lattice.parse_point(args.start) if args.start else corner
 
 
-def cmd_count(args):
-    if args.family == "motzkin":
-        value = motzkin.count_paths_by_amplitude(args.n, args.amplitude)
-        inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude}
-        if args.start_height:
-            value = motzkin.count_meanders(args.amplitude, args.n, args.start_height)
-            inputs["start_height"] = args.start_height
-    elif args.family == "triangular":
-        start = _start(args, args.d)
-        if args.n < 0:
-            raise ValueError(f"need n >= 0, got n={args.n}")
-        if args.dv is not None and args.n and len(args.dv) != args.n:
-            raise UsageError(f"triwalks {args.cmd}: argument --dv: {len(args.dv)} letters, "
-                             f"but --n is {args.n}")
-        dv = args.dv if args.dv else "F" * args.n
-        served = _served_count(args.d)
-        if served:  # by direction-vector independence
-            # the start is checked before the letters, as the DP checks them
-            value = served(args.L, start, len(dv))
-            lattice.check_dv(dv)
-        else:
-            value = lattice.count_paths(args.L, args.d, start, dv)
-        inputs = {"family": "triangular", "L": args.L, "d": args.d,
-                  "start": lattice.format_point(start), "dv": dv}
-    elif args.family == "generic":
-        start = _start(args, args.d)
-        served = _served_count(args.d)
-        if served:  # each of the 2^n direction vectors counts like "F" * n
-            value = served(args.L, start, args.n) << args.n
-        else:
-            value = lattice.count_generic(args.L, args.d, start, args.n)
-        inputs = {"family": "generic", "L": args.L, "d": args.d,
-                  "start": lattice.format_point(start), "n": args.n}
-    elif args.family == "bicolored":
-        p, q = args.p, args.q
-        if p < 0 or q < 0:
-            raise ValueError(f"need p, q >= 0, got p={p}, q={q}")
-        lattice.origin(args.L)  # rejects L < 0 with the message of the DP
-        # each of the C(p+q, p) interleavings counts like the forward walks
-        value = math.comb(p + q, p) * motzkin.count_paths_by_amplitude(p + q, args.L)
-        inputs = {"family": "bicolored", "L": args.L, "p": p, "q": q}
-    elif args.family == "pyramid":
-        start = _start(args, 3)
-        # backward walks count like forward ones, by direction-vector independence
-        value = pyramid3d.forward_count(args.L, start, args.n)
-        inputs = {"family": "pyramid", "L": args.L, "n": args.n,
-                  "start": lattice.format_point(start), "orientation": args.orientation}
-    else:  # waffle
-        start = lattice.parse_point(args.start) if args.start else (0, 0)
-        value = pyramid3d.count_waffle_walks(args.L, args.n, start)
-        inputs = {"family": "waffle", "L": args.L, "n": args.n,
-                  "start": ",".join(map(str, start))}
-    return {"inputs": inputs, "outputs": {"count": str(value)}}, [f"count = {value}"]
+def _digits(value):
+    """The exact decimal digits of an int of any size: str() refuses more than
+    4,300 digits unless the process raises its limit, and Decimal has none."""
+    return str(decimal.Decimal(value))
 
 
-def cmd_enumerate(args):
-    if args.family == "motzkin":
-        words = motzkin.enumerate_meanders(args.n, args.amplitude, args.start_height,
-                                           cap=args.cap)
-        out = [w.steps for w in words]
-        inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude,
-                  "start_height": args.start_height}
+def _counted(inputs, value):
+    """The answer of a count, with the same digits in the document and the human line."""
+    digits = _digits(value)
+    return {"inputs": inputs, "outputs": {"count": digits}}, [f"count = {digits}"]
+
+
+def cmd_count_motzkin(args):
+    value = motzkin.count_paths_by_amplitude(args.n, args.amplitude)
+    inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude}
+    if args.start_height:
+        value = motzkin.count_meanders(args.amplitude, args.n, args.start_height)
+        inputs["start_height"] = args.start_height
+    return _counted(inputs, value)
+
+
+def cmd_count_triangular(args):
+    start = _start(args, args.d)
+    if args.n < 0:
+        raise ValueError(f"need n >= 0, got n={args.n}")
+    if args.dv is not None and args.n and len(args.dv) != args.n:
+        raise UsageError(f"triwalks {args.cmd}: argument --dv: {len(args.dv)} letters, "
+                         f"but --n is {args.n}")
+    dv = args.dv if args.dv else "F" * args.n
+    served = _served_count(args.d)
+    if served:  # by direction-vector independence
+        # the start is checked before the letters, as the DP checks them
+        value = served(args.L, start, len(dv))
+        lattice.check_dv(dv)
     else:
-        start = _start(args, args.d)
-        paths = lattice.enumerate_paths(args.L, args.d, start, args.dv, cap=args.cap)
-        out = [lattice.format_steps(p) for p in paths]
-        inputs = {"family": "triangular", "L": args.L, "d": args.d,
-                  "start": lattice.format_point(start), "dv": args.dv}
+        value = lattice.count_paths(args.L, args.d, start, dv)
+    return _counted({"family": "triangular", "L": args.L, "d": args.d,
+                     "start": lattice.format_point(start), "dv": dv}, value)
+
+
+def cmd_count_generic(args):
+    start = _start(args, args.d)
+    served = _served_count(args.d)
+    if served:  # each of the 2^n direction vectors counts like "F" * n
+        value = served(args.L, start, args.n) << args.n
+    else:
+        value = lattice.count_generic(args.L, args.d, start, args.n)
+    return _counted({"family": "generic", "L": args.L, "d": args.d,
+                     "start": lattice.format_point(start), "n": args.n}, value)
+
+
+def cmd_count_bicolored(args):
+    p, q = args.p, args.q
+    if p < 0 or q < 0:
+        raise ValueError(f"need p, q >= 0, got p={p}, q={q}")
+    lattice.origin(args.L)  # rejects L < 0 with the message of the DP
+    # each of the C(p+q, p) interleavings counts like the forward walks
+    value = math.comb(p + q, p) * motzkin.count_paths_by_amplitude(p + q, args.L)
+    return _counted({"family": "bicolored", "L": args.L, "p": p, "q": q}, value)
+
+
+def cmd_count_pyramid(args):
+    start = _start(args, 3)
+    inputs = {"family": "pyramid", "L": args.L, "n": args.n,
+              "start": lattice.format_point(start), "orientation": args.orientation}
+    # backward walks count like forward ones, by direction-vector independence
+    return _counted(inputs, pyramid3d.forward_count(args.L, start, args.n))
+
+
+def cmd_count_waffle(args):
+    start = lattice.parse_point(args.start) if args.start else (0, 0)
+    value = pyramid3d.count_waffle_walks(args.L, args.n, start)
+    return _counted({"family": "waffle", "L": args.L, "n": args.n,
+                     "start": ",".join(map(str, start))}, value)
+
+
+def _listed(inputs, out):
+    """The answer of an enumeration: the items, their number, and the first 20
+    as human lines."""
     return ({"inputs": inputs, "outputs": {"count": len(out), "items": out}},
             [f"{len(out)} objects"] + out[:20])
+
+
+def cmd_enumerate_motzkin(args):
+    words = motzkin.enumerate_meanders(args.n, args.amplitude, args.start_height, cap=args.cap)
+    return _listed({"family": "motzkin", "n": args.n, "amplitude": args.amplitude,
+                    "start_height": args.start_height}, [w.steps for w in words])
+
+
+def cmd_enumerate_triangular(args):
+    start = _start(args, args.d)
+    paths = lattice.enumerate_paths(args.L, args.d, start, args.dv, cap=args.cap)
+    return _listed({"family": "triangular", "L": args.L, "d": args.d,
+                    "start": lattice.format_point(start), "dv": args.dv},
+                   [lattice.format_steps(p) for p in paths])
 
 
 def cmd_map(args):
@@ -209,19 +256,17 @@ def cmd_map(args):
     return {"inputs": inputs, "outputs": outputs}, [human]
 
 
-def cmd_sample(args):
-    if args.family == "motzkin":
-        word = motzkin.uniform_sample(args.n, args.amplitude, seed=args.seed)
-        outputs = {"motzkin": word.steps}
-        human = f"sampled word: {word.steps or '(empty)'}"
-        inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude,
-                  "seed": args.seed}
-    else:
-        path = scaffold2d.sample_forward_path(args.L, args.n, seed=args.seed)
-        outputs = {"path": lattice.format_steps(path)}
-        human = f"sampled path: {lattice.format_steps(path) or '(empty)'}"
-        inputs = {"family": "forward", "L": args.L, "n": args.n, "seed": args.seed}
-    return {"inputs": inputs, "outputs": outputs}, [human]
+def cmd_sample_motzkin(args):
+    word = motzkin.uniform_sample(args.n, args.amplitude, seed=args.seed)
+    inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude, "seed": args.seed}
+    return ({"inputs": inputs, "outputs": {"motzkin": word.steps}},
+            [f"sampled word: {word.steps or '(empty)'}"])
+
+
+def cmd_sample_forward(args):
+    path = lattice.format_steps(scaffold2d.sample_forward_path(args.L, args.n, seed=args.seed))
+    inputs = {"family": "forward", "L": args.L, "n": args.n, "seed": args.seed}
+    return {"inputs": inputs, "outputs": {"path": path}}, [f"sampled path: {path or '(empty)'}"]
 
 
 def cmd_profile(args):
@@ -237,10 +282,9 @@ def cmd_profile(args):
 
 
 def cmd_gf(args):
-    coeffs = pyramid3d.pyramid_gf_coefficients(args.L, args.terms)
-    return ({"inputs": {"L": args.L, "terms": args.terms},
-             "outputs": {"coefficients": [str(c) for c in coeffs]}},
-            [f"coefficients: {coeffs}"])
+    coeffs = [_digits(c) for c in pyramid3d.pyramid_gf_coefficients(args.L, args.terms)]
+    return ({"inputs": {"L": args.L, "terms": args.terms}, "outputs": {"coefficients": coeffs}},
+            [f"coefficients: [{', '.join(coeffs)}]"])
 
 
 def _command(args):
@@ -249,14 +293,13 @@ def _command(args):
     return f"pyramid {args.action}" if args.cmd == "pyramid" else args.cmd
 
 
-def cmd_pyramid(args):
-    if args.action == "count":
-        value = pyramid3d.forward_count(args.L, lattice.origin(args.L, 3), args.n)
-        return ({"inputs": {"L": args.L, "n": args.n}, "outputs": {"count": str(value)}},
-                [f"count = {value}"])
-    if args.action == "gf":
-        return cmd_gf(args)
-    # map: waffle walk to pyramid walk
+def cmd_pyramid_count(args):
+    value = pyramid3d.forward_count(args.L, lattice.origin(args.L, 3), args.n)
+    return _counted({"L": args.L, "n": args.n}, value)
+
+
+def cmd_pyramid_map(args):
+    """A waffle walk to its pyramid walk."""
     start = lattice.parse_point(args.cell)
     path = pyramid3d.waffle_to_pyramid(lattice.origin(args.L, 3), start, args.walk)
     return ({"inputs": {"L": args.L, "cell": args.cell, "walk": args.walk},
@@ -304,10 +347,49 @@ def cmd_verify(args):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError on a bad command line, so that ``main`` reports it
-    as one JSON error document; subcommand parsers inherit the class."""
+    as one JSON error document; subcommand parsers inherit the class. A flag
+    is named in full: --start is not read as --start-height."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+# the options of each flag that a family reads; a family's parser takes these
+# flags of its handler and no others
+FLAGS = {
+    "--n": {"type": _int, "default": 0},
+    "--amplitude": {"type": _int, "default": 0},
+    "--start-height": {"type": _int, "default": 0},
+    "--L": {"type": _int, "default": 0},
+    "--d": {"type": _int, "default": 2},
+    "--dv": {"default": None},
+    "--start": {"default": None},
+    "--p": {"type": _int, "default": 0},
+    "--q": {"type": _int, "default": 0},
+    "--orientation": {"choices": ["F", "B"], "default": "F"},
+    "--cap": {"type": _int, "default": 100000},
+    "--seed": {"type": _int},
+    "--terms": {"type": _int, "default": 10},
+    "--cell": {"default": "0,0"},
+    "--walk": {"default": ""},
+}
+
+
+def _families(sub, cmd, help, dest="family"):
+    """The subparsers of ``cmd``, one per family, named by its first argument."""
+    return sub.add_parser(cmd, help=help).add_subparsers(dest=dest, required=True)
+
+
+def _family(families, name, fn, flags, required=(), **defaults):
+    """The parser of one family: the FLAGS its handler ``fn`` reads, with those
+    in ``required`` required and ``defaults`` replacing theirs."""
+    p = families.add_parser(name)
+    for flag in flags.split():
+        p.add_argument(flag, required=flag in required, **FLAGS[flag])
+    p.set_defaults(fn=fn, **defaults)
 
 
 @functools.cache
@@ -315,36 +397,21 @@ def build_parser():
     ap = _Parser(prog="triwalks", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("count", help="exact counts of walks and words")
-    c.add_argument("family", choices=["motzkin", "triangular", "generic",
-                                      "bicolored", "pyramid", "waffle"])
-    c.add_argument("--n", type=int, default=0)
-    c.add_argument("--amplitude", type=int, default=0)
-    c.add_argument("--start-height", type=int, default=0, dest="start_height")
-    c.add_argument("--L", type=int, default=0)
-    c.add_argument("--d", type=int, default=2)
-    c.add_argument("--dv", default=None)
-    c.add_argument("--start", default=None)
-    c.add_argument("--p", type=int, default=0)
-    c.add_argument("--q", type=int, default=0)
-    c.add_argument("--orientation", choices=["F", "B"], default="F")
-    c.set_defaults(fn=cmd_count)
+    count = _families(sub, "count", "exact counts of walks and words")
+    _family(count, "motzkin", cmd_count_motzkin, "--n --amplitude --start-height")
+    _family(count, "triangular", cmd_count_triangular, "--L --d --n --dv --start")
+    _family(count, "generic", cmd_count_generic, "--L --d --n --start")
+    _family(count, "bicolored", cmd_count_bicolored, "--L --p --q")
+    _family(count, "pyramid", cmd_count_pyramid, "--L --n --start --orientation")
+    _family(count, "waffle", cmd_count_waffle, "--L --n --start")
 
-    e = sub.add_parser("enumerate", help="list walks or words (capped)")
-    e.add_argument("family", choices=["motzkin", "triangular"])
-    e.add_argument("--n", type=int, default=0)
-    e.add_argument("--amplitude", type=int, default=0)
-    e.add_argument("--start-height", type=int, default=0, dest="start_height")
-    e.add_argument("--L", type=int, default=0)
-    e.add_argument("--d", type=int, default=2)
-    e.add_argument("--dv", default="")
-    e.add_argument("--start", default=None)
-    e.add_argument("--cap", type=int, default=100000)
-    e.set_defaults(fn=cmd_enumerate)
+    enum = _families(sub, "enumerate", "list walks or words (capped)")
+    _family(enum, "motzkin", cmd_enumerate_motzkin, "--n --amplitude --start-height --cap")
+    _family(enum, "triangular", cmd_enumerate_triangular, "--L --d --dv --start --cap", dv="")
 
     m = sub.add_parser("map", help="apply one of the bijections")
     m.add_argument("input", help="a walk 's1 s2 ...' or a Motzkin word 'UFD...'")
-    m.add_argument("--L", type=int, required=True)
+    m.add_argument("--L", type=_int, required=True)
     # one source of the bijection: a method, its alias, or a saved file
     source = m.add_mutually_exclusive_group()
     source.add_argument("--method", type=_method, default=None,
@@ -359,43 +426,35 @@ def build_parser():
     m.set_defaults(fn=cmd_map)
 
     sc = sub.add_parser("scaffolding", help="build and save a random scaffolding")
-    sc.add_argument("--L", type=int, required=True)
-    sc.add_argument("--seed", type=int, required=True)
+    sc.add_argument("--L", type=_int, required=True)
+    sc.add_argument("--seed", type=_int, required=True)
     sc.add_argument("--out", default=None,
                     help=f"output file (default under ${OUTPUT_DIR_ENV} or .)")
     sc.set_defaults(fn=cmd_scaffolding)
 
-    s = sub.add_parser("sample", help="uniform random walk or word")
-    s.add_argument("family", choices=["motzkin", "forward"])
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--amplitude", type=int, default=0)
-    s.add_argument("--L", type=int, default=0)
-    s.add_argument("--seed", type=int, required=True)
-    s.set_defaults(fn=cmd_sample)
+    sample = _families(sub, "sample", "uniform random walk or word")
+    _family(sample, "motzkin", cmd_sample_motzkin, "--n --amplitude --seed", ("--n", "--seed"))
+    _family(sample, "forward", cmd_sample_forward, "--L --n --seed", ("--n", "--seed"))
 
     p = sub.add_parser("profile", help="profile and cells of a triangle point")
     p.add_argument("--point", required=True)
     p.set_defaults(fn=cmd_profile)
 
     g = sub.add_parser("gf", help="pyramid generating function coefficients")
-    g.add_argument("--L", type=int, required=True)
-    g.add_argument("--terms", type=int, default=10)
+    g.add_argument("--L", type=_int, required=True)
+    g.add_argument("--terms", type=_int, default=10)
     g.set_defaults(fn=cmd_gf)
 
-    y = sub.add_parser("pyramid", help="three-dimensional walks")
-    y.add_argument("action", choices=["count", "map", "gf"])
-    y.add_argument("--L", type=int, required=True)
-    y.add_argument("--n", type=int, default=0)
-    y.add_argument("--terms", type=int, default=10)
-    y.add_argument("--cell", default="0,0")
-    y.add_argument("--walk", default="")
-    y.set_defaults(fn=cmd_pyramid)
+    pyramid = _families(sub, "pyramid", "three-dimensional walks", dest="action")
+    _family(pyramid, "count", cmd_pyramid_count, "--L --n", ("--L",))
+    _family(pyramid, "map", cmd_pyramid_map, "--L --cell --walk", ("--L",))
+    _family(pyramid, "gf", cmd_gf, "--L --terms", ("--L",))
 
     v = sub.add_parser("verify", help="run the exhaustive check suites")
     v.add_argument("--suite", default="all",
                    choices=["all"] + sorted(verify.SUITES))
-    v.add_argument("--max-L", type=int, default=None, dest="max_L")
-    v.add_argument("--max-n", type=int, default=None, dest="max_n")
+    v.add_argument("--max-L", type=_int, default=None, dest="max_L")
+    v.add_argument("--max-n", type=_int, default=None, dest="max_n")
     v.add_argument("--scaffolding-file", default=None, dest="scaffolding_file",
                    help="validate a saved scaffolding instead")
     v.set_defaults(fn=cmd_verify)

@@ -1,5 +1,9 @@
+import decimal
 import json
+import math
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -322,6 +326,47 @@ def test_reports_are_deterministic(capsys):
     assert a == b
 
 
+def _count(capsys, argv):
+    """The count that ``triwalks argv`` answers, as an int; its human line
+    holds the same digits as its document."""
+    code, human, doc = run(capsys, *argv.split())
+    assert code == 0 and human == [f"count = {doc['outputs']['count']}"], argv
+    return int(decimal.Decimal(doc["outputs"]["count"]))
+
+
+def test_counts_past_the_digit_limit_of_str(capsys):
+    # CPython's str() and int() refuse more than 4,300 digits; each count here
+    # has more, and is checked against a second route to the same number
+    limit = sys.get_int_max_str_digits()
+    triangular = _count(capsys, "count triangular --L 40 --n 9200")
+    assert triangular > 10**4300
+    # Mortimer-Prellberg: walks from the corner are the bounded Motzkin paths
+    assert triangular == _count(capsys, "count motzkin --n 9200 --amplitude 40")
+    # each of the 2^n direction vectors counts like the forward one
+    assert _count(capsys, "count generic --L 40 --n 9200") == triangular << 9200
+    bicolored = _count(capsys, "count bicolored --L 4 --p 4000 --q 4000")
+    assert bicolored > 10**5000
+    motzkin = _count(capsys, "count motzkin --n 8000 --amplitude 4")
+    assert bicolored == math.comb(8000, 4000) * motzkin
+    assert sys.get_int_max_str_digits() == limit  # the process limit is left alone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["count motzkin --n 3 --amplitude {big}", "count triangular --L 3 --n -{big}",
+     "enumerate motzkin --n 2 --cap {big}", "sample forward --n 2 --seed {big}",
+     "pyramid gf --L {big}", "map --L {big} UD", "scaffolding --L 2 --seed +{big}",
+     "gf --L 2 --terms {big}", "verify --max-L {big}"],
+)
+def test_oversized_integer_flags_are_too_large(capsys, argv):
+    argv = argv.format(big="7" * 4400).split()
+    flag = argv[next(i for i, a in enumerate(argv) if a.endswith("7" * 4400)) - 1]
+    code, human, doc = run(capsys, *argv)
+    assert code == 2 and human == [] and doc["ok"] is False
+    assert f"argument {flag}: value too large (4400 digits)" in doc["error"]
+    assert len(doc["error"]) < 100  # the digits are not echoed
+
+
 # one small run of each subcommand form that README.md does not show
 UNSHOWN_ARGVS = [
     "count generic --d 4 --L 2 --n 2",
@@ -639,12 +684,52 @@ CONFLICTING_MAP_FLAGS = {
 }
 
 
+# the flags each family reads: its parser takes these and no others
+FAMILY_FLAGS = {
+    "count motzkin": {"--n", "--amplitude", "--start-height"},
+    "count triangular": {"--L", "--d", "--n", "--dv", "--start"},
+    "count generic": {"--L", "--d", "--n", "--start"},
+    "count bicolored": {"--L", "--p", "--q"},
+    "count pyramid": {"--L", "--n", "--start", "--orientation"},
+    "count waffle": {"--L", "--n", "--start"},
+    "enumerate motzkin": {"--n", "--amplitude", "--start-height", "--cap"},
+    "enumerate triangular": {"--L", "--d", "--dv", "--start", "--cap"},
+    "sample motzkin": {"--n", "--amplitude", "--seed"},
+    "sample forward": {"--L", "--n", "--seed"},
+    "pyramid count": {"--L", "--n"},
+    "pyramid gf": {"--L", "--terms"},
+    "pyramid map": {"--L", "--cell", "--walk"},
+}
+
+# command lines that pass one flag their family does not read, and that flag;
+# at least one for each family
+UNREAD_FLAGS = {
+    "count motzkin --n 3 --amplitude 1 --p -1": "--p",
+    "enumerate triangular --L 2 --n -2": "--n",
+    "count waffle --L 2 --n 2 --d -2": "--d",
+    "sample motzkin --n 3 --amplitude 2 --seed 1 --L -5": "--L",
+    "count motzkin --n 3 --amplitude 2 --L 3": "--L",
+    "count triangular --L 3 --n 2 --amplitude 2": "--amplitude",
+    "count generic --L 3 --n 2 --dv FB": "--dv",
+    "count bicolored --L 3 --p 1 --q 1 --n 2": "--n",
+    "count pyramid --L 2 --n 3 --d 3": "--d",
+    "count waffle --L 2 --n 2 --orientation B": "--orientation",
+    "enumerate motzkin --n 2 --amplitude 2 --start 1": "--start",
+    "enumerate triangular --L 2 --dv F --start-height 1": "--start-height",
+    "sample motzkin --n 3 --amplitude 2 --seed 1 --cap 5": "--cap",
+    "sample forward --n 3 --L 3 --seed 1 --amplitude 2": "--amplitude",
+    "pyramid count --L 3 --n 4 --terms 5": "--terms",
+    "pyramid gf --L 3 --n 4": "--n",
+    "pyramid map --L 2 --walk EW --n 2": "--n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     ["count --n x", "", "frobnicate", "enumerate waffle",
      "count triangular --L 3 --n 2 --dv FFF", "count triangular --L 3 --n 3 --dv F",
      "map --method random:x --L 3 UD", "map --scaffolding random: --L 3 UD",
-     "map --method bogus --L 3 UD", *CONFLICTING_MAP_FLAGS],
+     "map --method bogus --L 3 UD", *CONFLICTING_MAP_FLAGS, *UNREAD_FLAGS],
     ids=repr,
 )
 def test_bad_command_lines_are_one_error_document(capsys, argv):
@@ -655,11 +740,50 @@ def test_bad_command_lines_are_one_error_document(capsys, argv):
     assert doc["ok"] is False and doc["error"].startswith("triwalks")
     for flag in CONFLICTING_MAP_FLAGS.get(argv, ()):
         assert f"argument {flag}" in doc["error"]
+    if argv in UNREAD_FLAGS:
+        assert f"unrecognized arguments: {UNREAD_FLAGS[argv]} " in doc["error"]
 
 
 def test_help_is_not_an_error(capsys):
     assert cli.main(["--help"]) == 0
     assert '"ok"' not in capsys.readouterr().out
+    # each family's help lists the flags that family reads, and no others
+    for family, flags in FAMILY_FLAGS.items():
+        assert cli.main([*family.split(), "--help"]) == 0
+        out = capsys.readouterr().out
+        assert '"ok"' not in out and f"usage: triwalks {family} " in out
+        assert set(re.findall(r"--[\w-]+", out)) == flags | {"--help"}, family
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path; the test reads it and edits nothing."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_perfbench_command_line_parses():
+    # a flag that a benchmark op passes but its family no longer declares would
+    # fail that op and lower the benchmark's ok_ratio
+    inputs, scaffolds = _perfbench_module("inputs"), _perfbench_module("scaffolds")
+    parsed = []
+
+    def parse(argv):
+        parsed.append(cli.build_parser().parse_args(argv))
+        return 0
+
+    for seed in (1, 2, 3):
+        unique, files = inputs._Unique(), scaffolds.scaffold_files(seed, "out")
+        assert scaffolds.write_scaffolds(parse, files) is None
+        for pass_index in range(3):
+            for op in (inputs.count_ops(seed, pass_index, unique)
+                       + inputs.map_ops(seed, pass_index, files)):
+                parse(op["argv"])
+    assert len(parsed) > 1000 and all(callable(args.fn) for args in parsed)
 
 
 @pytest.mark.parametrize(
@@ -703,60 +827,56 @@ def _fuzz_strategies():
                      max_size=6).map(" ".join)
     files = st.sampled_from(["{dir}/valid.json", "{dir}/off.json", "{dir}/junk.json",
                              "{dir}/missing.json"])
-    flags = {
-        "count": {"--n": size, "--amplitude": size, "--start-height": size, "--L": size,
-                  "--d": size, "--dv": st.text("FBX", max_size=5), "--start": point | junk,
-                  "--p": size, "--q": size, "--orientation": st.sampled_from("FB")},
-        "enumerate": {"--n": size, "--amplitude": size, "--start-height": size, "--L": size,
-                      "--d": size, "--dv": st.text("FBX", max_size=5), "--start": point | junk,
-                      "--cap": size},
-        "map": {"--scaffolding-file": files,
-                "--direction": st.sampled_from(["m2t", "t2m"]),
-                "--bicolored": st.sampled_from(["one", "two"]),
-                **dict.fromkeys(["--method", "--scaffolding"], st.sampled_from(
-                    ["omega", "trapezium", "random:3", "random:-1", "random:x", "random:",
-                     "bogus"]))},
-        "sample": {"--amplitude": size, "--L": size},
-        "gf": {"--terms": size},
-        "pyramid": {"--n": size, "--terms": size, "--cell": point | junk,
-                    "--walk": st.text("NSEWX", max_size=6)},
-        "verify": {"--scaffolding-file": files},
+    # the values of each flag, whichever command reads it
+    values = {
+        "--n": size, "--amplitude": size, "--start-height": size, "--L": size, "--d": size,
+        "--dv": st.text("FBX", max_size=5), "--start": point | junk, "--p": size, "--q": size,
+        "--orientation": st.sampled_from("FB"), "--cap": size, "--seed": size | junk,
+        "--terms": size, "--cell": point | junk, "--walk": st.text("NSEWX", max_size=6),
+        "--point": point | junk, "--scaffolding-file": files,
+        "--direction": st.sampled_from(["m2t", "t2m"]),
+        "--bicolored": st.sampled_from(["one", "two"]),
+        **dict.fromkeys(["--method", "--scaffolding"], st.sampled_from(
+            ["omega", "trapezium", "random:3", "random:-1", "random:x", "random:", "bogus"])),
+        "--out": st.sampled_from(["{dir}/out.json", "{dir}/missing/x.json"]),
+        "--max-L": st.integers(-2, 2).map(str), "--max-n": st.integers(-2, 2).map(str),
+        "--suite": st.sampled_from(["counts", "flips", "omega", "profiles", "pyramid"]),
     }
-    positional = {
-        "count": st.sampled_from(["motzkin", "triangular", "generic", "bicolored", "pyramid",
-                                  "waffle"]),
-        "enumerate": st.sampled_from(["motzkin", "triangular"]),
-        "map": st.text("UFDufdX", max_size=8) | steps,
-        "sample": st.sampled_from(["motzkin", "forward"]),
-        "pyramid": st.sampled_from(["count", "map", "gf"]),
+    # the flags each family, or each command without families, reads
+    reads = {
+        **FAMILY_FLAGS,
+        "map": {"--L", "--method", "--scaffolding", "--scaffolding-file", "--direction",
+                "--bicolored"},
+        "scaffolding": {"--L", "--seed", "--out"},
+        "profile": {"--point"},
+        "gf": {"--L", "--terms"},
+        "verify": {"--suite", "--max-L", "--max-n", "--scaffolding-file"},
     }
     # always given: the required flags, a small verify grid, and a file under
     # the test's directory. The all and scaffold suites draw samples at fixed
     # sizes (about 0.9 s a run); test_verify_passes_on_shrunk_grids runs them
     always = {
-        "map": {"--L": size},
-        "scaffolding": {"--L": size, "--seed": size | junk,
-                        "--out": st.sampled_from(["{dir}/out.json", "{dir}/missing/x.json"])},
-        "sample": {"--n": size, "--seed": size | junk},
-        "profile": {"--point": point | junk},
-        "gf": {"--L": size},
-        "pyramid": {"--L": size},
-        "verify": {"--max-L": st.integers(-2, 2).map(str),
-                   "--max-n": st.integers(-2, 2).map(str),
-                   "--suite": st.sampled_from(["counts", "flips", "omega", "profiles",
-                                               "pyramid"])},
+        "map": {"--L"}, "scaffolding": {"--L", "--seed", "--out"},
+        "sample motzkin": {"--n", "--seed"}, "sample forward": {"--n", "--seed"},
+        "profile": {"--point"}, "gf": {"--L"}, "pyramid count": {"--L"},
+        "pyramid gf": {"--L"}, "pyramid map": {"--L"}, "verify": {"--max-L", "--max-n", "--suite"},
     }
 
     @st.composite
     def argvs(draw):
-        cmd = draw(st.sampled_from(sorted(flags.keys() | always.keys())))
-        argv = [cmd] + ([draw(positional[cmd])] if cmd in positional else [])
-        for flag, values in flags.get(cmd, {}).items():
-            if draw(st.booleans()):
-                argv += [flag, draw(values)]
-        for flag, values in always.get(cmd, {}).items():
-            argv += [flag, draw(values)]
-        return argv
+        """An argv, and the flag it passes that its family does not read, or None."""
+        key = draw(st.sampled_from(sorted(reads)))
+        argv = key.split()
+        if key == "map":
+            argv.append(draw(st.text("UFDufdX", max_size=8) | steps))
+        for flag in sorted(reads[key]):
+            if flag in always.get(key, ()) or draw(st.booleans()):
+                argv += [flag, draw(values[flag])]
+        unread = None
+        if draw(st.integers(0, 4)) == 0:
+            unread = draw(st.sampled_from(sorted(values.keys() - reads[key])))
+            argv += [unread, draw(values[unread])]
+        return argv, unread
 
     return argvs()
 
@@ -782,7 +902,8 @@ def test_argv_fuzz_gives_one_document_and_a_known_exit_code(fuzz_dir):
 
     @settings(max_examples=1000, deadline=None, database=None)
     @given(_fuzz_strategies())
-    def one_run(argv):
+    def one_run(drawn):
+        argv, unread = drawn
         argv = [a.format(dir=fuzz_dir) for a in argv]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -792,5 +913,6 @@ def test_argv_fuzz_gives_one_document_and_a_known_exit_code(fuzz_dir):
         assert [line for line in lines if line.startswith("{")] == lines[-1:], argv
         doc = json.loads(lines[-1])
         assert doc["ok"] is (code == 0), argv
+        assert unread is None or code == 2, argv
 
     one_run()
