@@ -1,17 +1,21 @@
-"""Per-layer timings of the scaffolding transducers, the forward sampler, the
-3d scaffolding and the sampler and trapezium checks of ``verify``, end-to-end timings of
-large ``count`` and ``sample`` commands and of saving a random scaffolding,
-and the time and memory of the samples and of reading that file back,
-written to a BENCH_*.json file.
+"""Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
+scaffolding transducers, the forward sampler, the 3d scaffolding and the
+sampler and trapezium checks of ``verify``, end-to-end timings of large
+``count``, ``map`` and ``sample`` commands and of saving a random
+scaffolding, and the time and memory of the samples and of reading that file
+back, written to a BENCH_*.json file.
 
-    PYTHONPATH=src python bench/micro.py --label change --out BENCH_15.json
-    PYTHONPATH=<other checkout>/src python bench/micro.py --label parent --out BENCH_15.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_17.json
+    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_17.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_17.json
+    ...
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
 built once from fixed seeds. The run is stored under its label; other labels
-already in the output file are kept, so one file holds a before/after pair.
-Standard library only.
+already in the output file are kept, so one file holds several rounds of
+each side. Alternate the sides, one round each, so that a drift of the host
+shows in every pair alike. Standard library only.
 
 The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
 they time the command a user runs, whatever code serves it. The ``cli
@@ -32,7 +36,7 @@ import tempfile
 import time
 import tracemalloc
 
-from triwalks import cli, motzkin, pyramid3d, scaffold2d, verify
+from triwalks import cli, lattice, motzkin, pyramid3d, scaffold2d, verify
 
 REPEATS = 5
 
@@ -96,8 +100,30 @@ def run_cli(argv):
             raise RuntimeError(f"triwalks {' '.join(argv)} failed")
 
 
+def moves(pairs):
+    move = lattice.move
+    for z, step in pairs:
+        move(z, step)
+
+
+def move_pairs(d, calls, seed):
+    """``calls`` pairs of a point of the lattice of side 21 in dimension d and
+    a step drawn from every step of that dimension."""
+    rng = random.Random(seed)
+    points = lattice.all_points(21, d)
+    steps = [s for j in range(1, d + 2) for s in (j, -j)]
+    return [(rng.choice(points), rng.choice(steps)) for _ in range(calls)]
+
+
 def rows():
     out = []
+    calls = 100_000
+    for d in (2, 3):
+        pairs = move_pairs(d, calls, seed=1)
+        params = {"d": d, "L": 21, "calls": calls,
+                  "pairs": "bench.micro.move_pairs(d, calls, seed=1)"}
+        out.append((f"lattice.move d={d} (per call)", params, best_of(moves, pairs) / calls))
+
     n, L = 10_000, 21
     scaf = scaffold2d.TrapeziumScaffolding(L)
     word = motzkin.uniform_sample(n, L, seed=1)
@@ -105,6 +131,13 @@ def rows():
     params = {"n": n, "L": L, "word": "uniform_sample(n, L, seed=1)"}
     out.append(("trapezium m2t", params, best_of(scaf.motzkin_to_triangular, word)))
     out.append(("trapezium t2m", params, best_of(scaf.triangular_to_motzkin, walk)))
+    text = lattice.format_steps(walk)
+    out.append(("lattice.parse_steps", {**params, "text": "format_steps(m2t image of word)"},
+                best_of(lattice.parse_steps, text)))
+    argv = "map --method trapezium --direction t2m --L 21"
+    out.append((f"cli {argv} <walk>", {**params, "argv": f"{argv} <walk>",
+                                       "walk": "format_steps(m2t image of word)"},
+                best_of(run_cli, [*argv.split(), text])))
 
     n, L = 4_000, 25
     out.append(("sample_forward_path", {"n": n, "L": L, "seed": 1},
@@ -127,7 +160,7 @@ def rows():
     # 1,000 meanders of up to 40 letters next to the trapezium rules
     out.append(("verify.check_sampling", {}, best_of(verify.check_sampling)))
     out.append(("verify.check_trapezium", {}, best_of(verify.check_trapezium)))
-    out = [{"name": name, "params": p, "seconds": round(s, 6)} for name, p, s in out]
+    out = [{"name": name, "params": p, "seconds": float(f"{s:.6g}")} for name, p, s in out]
 
     for argv in SAMPLE_ARGVS:
         out.append({"name": f"cli {argv}", "params": {"argv": argv},
@@ -167,7 +200,7 @@ def main(argv=None):
         fh.write("\n")
     for row in doc["runs"][args.label]["rows"]:
         peak = row.get("tracemalloc_peak_bytes")
-        print(f"{args.label:8} {row['name']:45} {row['seconds']:.4f} s"
+        print(f"{args.label:8} {row['name']:58} {row['seconds']:.4g} s"
               + (f", peak {peak / 2**20:.1f} MiB" if peak is not None else ""))
 
 

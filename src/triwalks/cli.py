@@ -55,16 +55,14 @@ def _int(flag):
     try:
         return int(flag)
     except ValueError:
-        digits = flag.strip()
-        digits = digits[1:] if digits[:1] in "+-" else digits
-        why = (f"value too large ({len(digits)} digits)" if digits.isdecimal()
-               else f"invalid int value: {flag!r}")
+        why = lattice._too_large(flag) or f"invalid int value: {flag!r}"
         raise argparse.ArgumentTypeError(why) from None
 
 
 def _method(flag):
     """A --method or --scaffolding value, checked while the command line is
-    parsed: omega, trapezium or random:<seed> with an int seed."""
+    parsed: omega, trapezium or random:<seed> with an int seed. A seed past
+    int()'s digit limit is reported as too large, without its digits."""
     if flag in ("omega", "trapezium"):
         return flag
     kind, _, seed = flag.partition(":")
@@ -73,7 +71,9 @@ def _method(flag):
             int(seed)
             return flag
         except ValueError:
-            pass
+            why = lattice._too_large(seed)
+            if why:
+                raise argparse.ArgumentTypeError(why) from None
     raise argparse.ArgumentTypeError(f"want omega, trapezium or random:<seed>, got {flag!r}")
 
 
@@ -124,12 +124,11 @@ def _counted(inputs, value):
 
 
 def cmd_count_motzkin(args):
-    value = motzkin.count_paths_by_amplitude(args.n, args.amplitude)
     inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude}
-    if args.start_height:
-        value = motzkin.count_meanders(args.amplitude, args.n, args.start_height)
-        inputs["start_height"] = args.start_height
-    return _counted(inputs, value)
+    if not args.start_height:
+        return _counted(inputs, motzkin.count_paths_by_amplitude(args.n, args.amplitude))
+    inputs["start_height"] = args.start_height
+    return _counted(inputs, motzkin.count_meanders(args.amplitude, args.n, args.start_height))
 
 
 def cmd_count_triangular(args):

@@ -33,7 +33,6 @@ def origin(L, d=2):
     return (0,) * d + (L,)
 
 
-@functools.lru_cache(maxsize=64)
 def step_vector(step, d=2):
     """Displacement of a signed step in the (d+1)-coordinate representation."""
     j = abs(step)
@@ -46,13 +45,33 @@ def step_vector(step, d=2):
     return tuple(v)
 
 
+# (len(z), step) -> step_vector(step, len(z) - 1), filled by ``move``; a bad
+# step raises in step_vector and is never stored
+_STEP_VECTORS = {}
+
+
 def move(z, step):
     """The point ``z`` moved by ``step``; it may leave the lattice.
 
     The one place where a step moves a point: a backward move is
     ``move(z, -step)``, and a step index out of range raises ValueError.
+    Points of 3 and 4 coordinates, the triangle and the pyramid, are added
+    coordinate by coordinate.
     """
-    return tuple(map(add, z, step_vector(step, len(z) - 1)))
+    n = len(z)
+    try:
+        v = _STEP_VECTORS[n, step]
+    except KeyError:
+        v = _STEP_VECTORS[n, step] = step_vector(step, n - 1)
+    if n == 3:
+        x1, x2, x3 = z
+        v1, v2, v3 = v
+        return (x1 + v1, x2 + v2, x3 + v3)
+    if n == 4:
+        x1, x2, x3, x4 = z
+        v1, v2, v3, v4 = v
+        return (x1 + v1, x2 + v2, x3 + v3, x4 + v4)
+    return tuple(map(add, z, v))
 
 
 def forward_neighbours(z):
@@ -282,25 +301,42 @@ def format_point(point):
     return ",".join(str(c) for c in point)
 
 
+def _too_large(text):
+    """Why int() refused ``text``, if ``text`` is a signed decimal integer:
+    then it has more digits than int() converts (4,300 by default). Said
+    without echoing the digits; None for any other text."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in "+-" else digits
+    return f"value too large ({len(digits)} digits)" if digits.isdecimal() else None
+
+
 def parse_point(text):
-    try:
-        coords = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad point {text!r}; want comma-separated ints") from None
-    return coords
+    coords = []
+    for t in text.split(","):
+        try:
+            coords.append(int(t))
+        except ValueError:
+            why = _too_large(t)
+            raise ValueError(f"bad point: {why}" if why else
+                             f"bad point {text!r}; want comma-separated ints") from None
+    return tuple(coords)
 
 
 def format_steps(steps):
     return " ".join(f"s{s}" if s > 0 else f"-s{-s}" for s in steps)
 
 
+@functools.lru_cache(maxsize=256)
+def _token(tok):
+    """The signed step written ``s<k>`` or ``-s<k>``; memoised, since a walk
+    repeats a handful of tokens."""
+    neg = tok.startswith("-")
+    body = tok[1:] if neg else tok
+    if not body.startswith("s") or not body[1:].isdigit():
+        raise ValueError(f"bad step token {tok!r}; want s<k> or -s<k>")
+    j = int(body[1:])
+    return -j if neg else j
+
+
 def parse_steps(text):
-    steps = []
-    for tok in text.split():
-        neg = tok.startswith("-")
-        body = tok[1:] if neg else tok
-        if not body.startswith("s") or not body[1:].isdigit():
-            raise ValueError(f"bad step token {tok!r}; want s<k> or -s<k>")
-        j = int(body[1:])
-        steps.append(-j if neg else j)
-    return tuple(steps)
+    return tuple(map(_token, text.split()))

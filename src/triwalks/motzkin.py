@@ -136,10 +136,14 @@ def _next_meander_row(prev, L):
     return [u + f + d for u, f, d in zip(prev[1:] + [0], flat, [0] + prev[:-1])]
 
 
-def _meander_rows(L, n):
-    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``."""
+def _check_sizes(n, L):
     if n < 0 or L < 0:
         raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
+
+
+def _meander_rows(L, n):
+    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``."""
+    _check_sizes(n, L)
     row = [1] + [0] * (L // 2)
     yield row
     for _ in range(n):
@@ -167,7 +171,10 @@ def meander_row(L, n):
 
 
 def count_meanders(L, n, i):
-    """Number of length-n meanders from height i with amplitude <= L."""
+    """Number of length-n meanders from height i with amplitude <= L.
+
+    A bad n or L is reported before a bad height."""
+    _check_sizes(n, L)
     H = L // 2
     if not 0 <= i <= H:
         raise HeightOutOfRange(f"start height {i} not in 0..{H} for L={L}")

@@ -377,6 +377,13 @@ class TrapeziumScaffolding(Scaffolding):
         self.L = L
         self._steps = [allowed_steps(f, L) for f in range(L // 2 + 1)]
 
+    def _allows(self, x1, x2, x3, f, l, step):
+        """Whether ((f, l), step) is in A(z) for z = (x1, x2, x3): the cell lies
+        in C(z), max(0, f - x3) <= l <= min(f, x1, x2, x1 + x2 - f), and the
+        step is usable at its height. ``_domain_error`` says why not."""
+        return (0 <= l <= f and f - x3 <= l <= x1 and l <= x2 and l <= x1 + x2 - f
+                and f < len(self._steps) and step in self._steps[f])
+
     def _domain_error(self, z, f, l, step):
         """Why (cell, step) = ((f, l), step) is not in A(z), or None if it is."""
         lo, hi = cell_bounds(z, f)
@@ -387,19 +394,19 @@ class TrapeziumScaffolding(Scaffolding):
             return f"step {step} not allowed at height {f} for L={self.L}"
         return None
 
-    def _check_domain(self, z, cell, step):
-        err = self._domain_error(z, cell[0], cell[1], step)
-        if err is not None:
-            raise NotAllowed(err)
-
     def delta(self, z, cell, step):
-        self._check_domain(z, cell, step)
+        x1, x2, x3 = z
+        f, l = cell[0], cell[1]
+        if not self._allows(x1, x2, x3, f, l, step):
+            raise NotAllowed(self._domain_error(z, f, l, step))
         self.lookup_count += 1
-        j, cell2, _case = trapezium_rule(z[0], z[1], cell[0], cell[1], step)
+        j, cell2, _case = trapezium_rule(x1, x2, f, l, step)
         return j, cell2
 
     def case(self, z, cell, step):
-        self._check_domain(z, cell, step)
+        err = self._domain_error(z, cell[0], cell[1], step)
+        if err is not None:
+            raise NotAllowed(err)
         return trapezium_rule(z[0], z[1], cell[0], cell[1], step)[2]
 
     def delta_inv(self, z, j, cell):
@@ -426,7 +433,7 @@ class TrapeziumScaffolding(Scaffolding):
         NotAllowed is raised.
         """
         self.lookup_count += 1
-        a, b = z[0], z[1]
+        a, b, c = z
         f2, l2 = cell
         if j == 1:
             if f2 + l2 == a + b + 1:
@@ -455,7 +462,7 @@ class TrapeziumScaffolding(Scaffolding):
                 f, l, ch = f2 + 1, l2 + 1, "D"
         else:
             raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
-        if self._domain_error(z, f, l, ch) is None:
+        if self._allows(a, b, c, f, l, ch):
             jj, c2, _case = trapezium_rule(a, b, f, l, ch)
             if jj == j and c2 == cell:
                 return (f, l), ch
@@ -530,13 +537,9 @@ def sample_forward_path(L, n, seed=None, rng=None):
     for ch in word.steps:
         h += _HEIGHT_MOVE[ch]
         # one draw among the cells at height h of the neighbours, listed by
-        # (j, index); only the neighbour it falls in matters. A neighbour off
-        # the triangle has no cells, so leaving it out changes no draw.
-        sizes = []
-        for j, w in _neighbours_in_triangle(z):
-            lo, hi = cell_bounds(w, h)
-            sizes.append((j, w, max(hi - lo + 1, 0)))
-        pick = rng.randrange(sum(size for _, _, size in sizes))
+        # (j, index); only the neighbour it falls in matters
+        total, sizes = _cells_above(z, h)
+        pick = rng.randrange(total)
         for j, w, size in sizes:
             if pick < size:
                 break
@@ -544,6 +547,24 @@ def sample_forward_path(L, n, seed=None, rng=None):
         steps.append(j)
         z = w
     return tuple(steps)
+
+
+@functools.lru_cache(maxsize=2048)
+def _cells_above(z, h):
+    """The number of cells at height h of the neighbours of z in the
+    triangle, and the triples (j, z + s_j, their cells there) by increasing j.
+
+    A neighbour off the triangle has no cells, so leaving it out changes no
+    draw. Cached per (z, h), as ``_neighbours_in_triangle`` is per point; an
+    entry takes about 600 bytes, so the cache stays near 1 MB.
+    """
+    total, sizes = 0, []
+    for j, w in _neighbours_in_triangle(z):
+        lo, hi = cell_bounds(w, h)
+        size = max(hi - lo + 1, 0)
+        total += size
+        sizes.append((j, w, size))
+    return total, tuple(sizes)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from triwalks import cli, lattice
+from triwalks import cli, lattice, motzkin
 
 
 def run(capsys, *argv):
@@ -334,6 +334,24 @@ def _count(capsys, argv):
     return int(decimal.Decimal(doc["outputs"]["count"]))
 
 
+def test_count_motzkin_builds_one_meander_row(capsys, monkeypatch):
+    rows = []
+    row = motzkin.meander_row
+    monkeypatch.setattr(motzkin, "meander_row", lambda L, n: rows.append((L, n)) or row(L, n))
+    for argv, count in (("count motzkin --n 6 --amplitude 4", "45"),
+                        ("count motzkin --n 6 --amplitude 4 --start-height 1", "56")):
+        rows.clear()
+        code, _, doc = run(capsys, *argv.split())
+        assert (code, doc["outputs"]["count"], rows) == (0, count, [(4, 6)]), argv
+    # a bad n or amplitude is still reported before a bad height
+    for argv, error in (
+            ("--n -1 --amplitude 4 --start-height 3", "need n, L >= 0, got n=-1, L=4"),
+            ("--n 2 --amplitude -1 --start-height 1", "need n, L >= 0, got n=2, L=-1"),
+            ("--n 2 --amplitude 4 --start-height 3", "start height 3 not in 0..2 for L=4")):
+        code, _, doc = run(capsys, "count", "motzkin", *argv.split())
+        assert (code, doc["error"]) == (1, error), argv
+
+
 def test_counts_past_the_digit_limit_of_str(capsys):
     # CPython's str() and int() refuse more than 4,300 digits; each count here
     # has more, and is checked against a second route to the same number
@@ -365,6 +383,19 @@ def test_oversized_integer_flags_are_too_large(capsys, argv):
     assert code == 2 and human == [] and doc["ok"] is False
     assert f"argument {flag}: value too large (4400 digits)" in doc["error"]
     assert len(doc["error"]) < 100  # the digits are not echoed
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [("count triangular --L 3 --start 0,0,{big}", 1, "bad point: value too large (4400 digits)"),
+     ("profile --point 0,-{big},1", 1, "bad point: value too large (4400 digits)"),
+     ("pyramid map --L 2 --cell {big},0 --walk N", 1, "bad point: value too large (4400 digits)"),
+     ("map --method random:{big} --L 2 UD", 2,
+      "triwalks map: argument --method: value too large (4400 digits)")],
+)
+def test_oversized_integers_inside_string_flags_are_too_large(capsys, argv, code, error):
+    got, _, doc = run(capsys, *argv.format(big="7" * 4400).split())
+    assert (got, doc["ok"], doc["error"]) == (code, False, error)  # no digit is echoed
 
 
 # one small run of each subcommand form that README.md does not show

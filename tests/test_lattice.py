@@ -120,3 +120,54 @@ def test_serialization():
     assert lattice.parse_steps("s1 -s3 s2") == (1, -3, 2)
     with pytest.raises(ValueError):
         lattice.parse_steps("x9")
+
+
+def test_move_adds_the_step_vector():
+    # the step table and the explicit 3- and 4-coordinate sums against the
+    # definition, in every dimension the package walks in
+    for d in range(1, 5):
+        z = tuple(range(5, 5 + d + 1))
+        for j in range(1, d + 2):
+            for step in (j, -j):
+                want = tuple(a + b for a, b in zip(z, lattice.step_vector(step, d)))
+                assert lattice.move(z, step) == want
+                assert lattice.move(list(z), step) == want
+        for step in (0, d + 2, -(d + 2)):
+            with pytest.raises(ValueError, match=f"step index {abs(step)} out of range for d={d}"):
+                lattice.move(z, step)
+
+
+# every token form: the result, or the error text
+STEP_TOKENS = {
+    "s1": (1,),
+    "-s3": (-3,),
+    "s10": (10,),
+    "s0": (0,),
+    "s01": (1,),
+    "-s": "bad step token '-s'; want s<k> or -s<k>",
+    "s-1": "bad step token 's-1'; want s<k> or -s<k>",
+    "S1": "bad step token 'S1'; want s<k> or -s<k>",
+    "s١": (1,),  # ARABIC-INDIC DIGIT ONE is a digit to int()
+    "": (),
+}
+
+
+@pytest.mark.parametrize("text", list(STEP_TOKENS))
+def test_parse_steps_token_table(text):
+    want = STEP_TOKENS[text]
+    for _ in range(2):  # the second call reads the memoised token
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                lattice.parse_steps(text)
+            assert str(exc.value) == want
+        else:
+            assert lattice.parse_steps(text) == want
+            assert lattice.parse_steps(f" s2 {text}\t-s1\n") == (2, *want, -1)
+
+
+def test_parse_point_coordinate_past_the_digit_limit():
+    with pytest.raises(ValueError) as exc:
+        lattice.parse_point("0,-" + "7" * 4400 + ",1")
+    assert str(exc.value) == "bad point: value too large (4400 digits)"
+    with pytest.raises(ValueError, match="bad point '0,x'; want comma-separated ints"):
+        lattice.parse_point("0,x")

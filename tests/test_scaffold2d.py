@@ -477,3 +477,44 @@ def test_trapezium_height_outside_the_table_is_not_allowed():
         scaf.delta_inv((4, 4, 0), 3, (3, 3))
     with pytest.raises(NotAllowed, match="not in C"):
         scaf.delta((0, 0, 2), (-1, -1), "U")
+
+
+def _delta_by_definition(scaf, z, cell, step):
+    """``delta`` spelled through ``_domain_error``, which builds the messages."""
+    err = scaf._domain_error(z, cell[0], cell[1], step)
+    if err is not None:
+        raise NotAllowed(err)
+    j, cell2, _case = scaffold2d.trapezium_rule(z[0], z[1], cell[0], cell[1], step)
+    return j, cell2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotAllowed as exc:
+        return f"NotAllowed: {exc}"
+
+
+def test_trapezium_domain_check_is_its_definition():
+    # every point up to L = 8 and every point one step off the triangle,
+    # cells in a box one wider than the cell sets, and a letter no height allows
+    for L in range(9):
+        scaf = TrapeziumScaffolding(L)
+        inside = lattice.all_points(L, 2)
+        off = {lattice.move(z, s) for z in inside for s in (1, 2, 3, -1, -2, -3)}
+        box = [(f, l) for f in range(-1, L + 2) for l in range(-1, L + 2)]
+        for z in inside + sorted(off - set(inside)):
+            images = {}
+            for cell in box:
+                for ch in ("U", "F", "D", "X"):
+                    want = _outcome(_delta_by_definition, scaf, z, cell, ch)
+                    assert _outcome(scaf.delta, z, cell, ch) == want, (L, z, cell, ch)
+                    if not isinstance(want, str):
+                        assert images.setdefault(want, (cell, ch)) == (cell, ch)
+            # every preimage lies in the box, since cells do
+            for j in range(5):
+                for cell in box:
+                    got = _outcome(scaf.delta_inv, z, j, cell)
+                    want = images.get((j, cell),
+                                      f"NotAllowed: ({j}, {cell}) has no preimage at {z}")
+                    assert got == want, (L, z, j, cell)
