@@ -1,13 +1,14 @@
 """Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
-scaffolding transducers, the forward sampler, the 3d scaffolding and the
-sampler and trapezium checks of ``verify``, end-to-end timings of large
-``count``, ``map`` and ``sample`` commands and of saving a random
-scaffolding, and the time and memory of the samples and of reading that file
-back, written to a BENCH_*.json file.
+scaffolding transducers, the forward sampler, the 3d scaffolding, the
+closed-form generating function and the sampler and trapezium checks of
+``verify``, end-to-end timings of large ``count``, ``map`` and ``sample``
+commands, of saving a random scaffolding and of a fresh interpreter that
+imports the CLI, and the time and memory of the samples and of reading that
+file back, written to a BENCH_*.json file.
 
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_17.json
-    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_17.json
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_17.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_18.json
+    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_18.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_18.json
     ...
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
@@ -18,7 +19,9 @@ each side. Alternate the sides, one round each, so that a drift of the host
 shows in every pair alike. Standard library only.
 
 The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
-they time the command a user runs, whatever code serves it. The ``cli
+they time the command a user runs, whatever code serves it. The ``process``
+rows start a new interpreter with the same PYTHONPATH: bare, and importing
+``triwalks.cli``; their difference is the import. The ``cli
 sample`` rows and the ``RandomScaffolding.loads`` row also store the peak of
 memory allocated during one more, untimed call (``tracemalloc``), in bytes.
 """
@@ -32,6 +35,8 @@ import json
 import os
 import platform
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -41,11 +46,11 @@ from triwalks import cli, lattice, motzkin, pyramid3d, scaffold2d, verify
 REPEATS = 5
 
 
-def best_of(fn, *args):
+def best_of(fn, *args, **kwargs):
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        fn(*args)
+        fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -86,6 +91,7 @@ COUNT_ARGVS = [
     "count triangular --d 3 --L 30 --n 400",
     "count pyramid --L 30 --n 400 --start 7,8,9,6",
     "count waffle --L 30 --n 400",
+    "gf --L 10 --terms 100",
 ]
 
 SAMPLE_ARGVS = [
@@ -154,8 +160,17 @@ def rows():
     out.append(("pyramid_to_waffle", {**params, "path": "waffle_to_pyramid(point, cell, walk)"},
                 best_of(pyramid3d.pyramid_to_waffle, z, path)))
 
+    for L, N in ((12, 150), (10, 1000)):
+        out.append((f"pyramid_gf_coefficients L={L} N={N}", {"L": L, "N": N},
+                    best_of(pyramid3d.pyramid_gf_coefficients, L, N)))
+
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
+    # a fresh interpreter, bare and importing the CLI from the same src/
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for code in ("pass", "import triwalks.cli"):
+        out.append((f"process python -c {code!r}", {"code": code},
+                    best_of(subprocess.run, [sys.executable, "-c", code], env=env, check=True)))
     # 16,000 sampler calls at L = 3, n = 4, so their per-call cost shows, and
     # 1,000 meanders of up to 40 letters next to the trapezium rules
     out.append(("verify.check_sampling", {}, best_of(verify.check_sampling)))

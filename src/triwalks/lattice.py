@@ -332,9 +332,13 @@ def _token(tok):
     repeats a handful of tokens."""
     neg = tok.startswith("-")
     body = tok[1:] if neg else tok
-    if not body.startswith("s") or not body[1:].isdigit():
+    # isdecimal, not isdigit: int() reads no superscript or other digit sign
+    if not body.startswith("s") or not body[1:].isdecimal():
         raise ValueError(f"bad step token {tok!r}; want s<k> or -s<k>")
-    j = int(body[1:])
+    try:
+        j = int(body[1:])
+    except ValueError:
+        raise ValueError(f"bad step token: {_too_large(body[1:])}") from None
     return -j if neg else j
 
 

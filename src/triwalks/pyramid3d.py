@@ -34,8 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-
-import mpmath
+from fractions import Fraction
 
 from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
@@ -402,6 +401,46 @@ def enumerate_waffle_walks(L, start, n, end_on_axis=True):
 
 # -- closed-form generating function and the reflection principle -------------
 
+# bits kept below the working precision inside _pi and _two_cos, so that
+# their own rounding errors never reach the bits they return
+_GUARD = 64
+
+
+def _pi(bits):
+    """pi * 2**bits, to within one unit, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integer fixed point."""
+    p = bits + _GUARD
+
+    def atan_inv(x):  # atan(1/x) * 2**p, by its alternating series
+        total, term, k = 0, (1 << p) // x, 1
+        while term:
+            total += term // k if k % 4 == 1 else -(term // k)
+            term //= x * x
+            k += 2
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> _GUARD
+
+
+def _two_cos(rs, M, bits):
+    """2 cos(r pi / M) * 2**bits for each r in ``rs`` (0 <= r <= M), to within
+    a unit, by the Taylor series at an angle folded into [0, pi/2]."""
+    p = bits + _GUARD
+    pi = _pi(p)
+    out = []
+    for r in rs:
+        sign, r = (-1, M - r) if 2 * r > M else (1, r)
+        x2 = (r * pi // M) ** 2 >> p
+        total = term = 1 << p
+        k = 0
+        while term:
+            k += 2
+            term = -(term * x2 >> p) // (k * (k - 1))
+            total += term
+        out.append(sign * (total >> (_GUARD - 1)))
+    return out
+
+
 def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
     """Taylor coefficients of the corner-walk generating function.
 
@@ -412,33 +451,56 @@ def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
                (c_k - c_j)^2 (2 + c_j) (2 + c_k) / (1 - (c_j + c_k) t),
 
     so the n-th coefficient is the same sum with (c_j + c_k)^n in place of
-    the geometric factor. Evaluated in high-precision arithmetic; every
-    coefficient must round to an integer within ``tolerance``. Since
-    |c_j + c_k| < 4, the terms stay below 4^N times a constant, so the
-    default working precision is N log10(4) digits plus 20 guard digits.
+    the geometric factor.
+
+    It is evaluated in integer fixed point: a real x is held as the int
+    x * 2**prec, rounded down, with prec = ceil(dps log2 10) bits, so
+    ``dps`` is the working precision in decimal digits. pi comes from
+    Machin's formula and each c_r from its Taylor series. The terms are
+    grouped by lam = |c_j + c_k|; a group adds up to lam^n (w+ + w-) at even
+    n and lam^n (w+ - w-) at odd n, with w+ and w- its weights at +lam and
+    -lam. Each of the two is advanced by one multiply by lam^2 and one shift
+    per two n. For even L, c_{M-r} = -c_r gives every c_j + c_k its
+    negative, which halves the multiplies; for odd L each group is one term.
+    Every coefficient must round to an integer within ``tolerance``,
+    compared exactly, or PrecisionLoss is raised. Since |c_j + c_k| < 4, the
+    terms stay below 4^N times a constant, so the default precision is
+    N log10(4) digits plus 20 guard digits.
     """
     if N < 0 or L < 0:
         raise ValueError(f"need N, L >= 0, got N={N}, L={L}")
     if dps is None:
         dps = math.ceil(N * math.log10(4)) + 20
+    prec = math.ceil(dps * math.log2(10))
     M = L + 4
-    with mpmath.workdps(dps):
-        theta = mpmath.pi / M
-        terms = []
-        for j in range(1, L + 4, 2):
-            for k in range(j + 2, L + 4, 2):
-                cj = 2 * mpmath.cos(j * theta)
-                ck = 2 * mpmath.cos(k * theta)
-                terms.append(((ck - cj) ** 2 * (2 + cj) * (2 + ck), cj + ck))
-        coeffs = []
-        summands = [w for w, _ in terms]  # w * lam^n, advanced one n at a time
-        for n in range(N + 1):
-            s = mpmath.fsum(summands) / M**2
-            r = mpmath.nint(s)
-            if abs(s - r) >= tolerance:
-                raise PrecisionLoss(f"coefficient {n} off by {abs(s - r)}")
-            coeffs.append(int(r))
-            summands = [x * lam for x, (_, lam) in zip(summands, terms)]
+    odd = range(1, L + 4, 2)
+    c = dict(zip(odd, _two_cos(odd, M, prec)))
+    two = 2 << prec
+    weights = {}  # lam -> [w+, w-]
+    for j in odd:
+        for k in range(j + 2, L + 4, 2):
+            d, lam = c[k] - c[j], c[j] + c[k]
+            weights.setdefault(abs(lam), [0, 0])[lam < 0] += (
+                d * d * (two + c[j]) * (two + c[k]) >> 3 * prec)
+    squares = [lam * lam >> prec for lam in weights]
+    # the group sums at the next even n and the next odd n
+    chains = [[p + m for p, m in weights.values()],
+              [(p - m) * lam >> prec for lam, (p, m) in weights.items()]]
+    den = M * M << prec  # a coefficient is sum(chain) / den
+    half = den >> 1
+    tol_num, tol_den = Fraction(tolerance).as_integer_ratio()
+    limit = tol_num * den  # off / den >= tolerance, in integers
+    coeffs = []
+    for n in range(N + 1):
+        chain = chains[n % 2]
+        r, rem = divmod(sum(chain) + half, den)  # the nearest integer
+        off = abs(rem - half)
+        if off * tol_den >= limit:
+            # int / int rounds once and never overflows, as float(den) would
+            raise PrecisionLoss(f"coefficient {n} off by {off / den:.3g}")
+        coeffs.append(r)
+        if n + 2 <= N:
+            chains[n % 2] = [x * q >> prec for x, q in zip(chain, squares)]
     return coeffs
 
 

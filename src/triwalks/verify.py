@@ -96,10 +96,11 @@ def check_transform_bijection(max_L=4, max_n=6, dims=(2, 3), trials=500, seed=7)
     for d in dims:
         for L in range(max_L + 1):
             z = lattice.origin(L, d)
+            paths_of = {}  # every dv of 1..max_n letters, read again below
             for n in range(1, max_n + 1):
                 for dv in itertools.product("FB", repeat=n):
                     dv = "".join(dv)
-                    paths = lattice.enumerate_paths(L, d, z, dv)
+                    paths = paths_of[dv] = lattice.enumerate_paths(L, d, z, dv)
                     for target in ("F" * n, "B" * n):
                         images = set()
                         for p in paths:
@@ -117,7 +118,7 @@ def check_transform_bijection(max_L=4, max_n=6, dims=(2, 3), trials=500, seed=7)
             for _ in range(trials if max_n >= 1 else 0):
                 n = rng.randint(1, max_n)
                 dv = "".join(rng.choice("FB") for _ in range(n))
-                paths = lattice.enumerate_paths(L, d, z, dv)
+                paths = paths_of[dv]
                 if not paths:
                     continue
                 p = paths[rng.randrange(len(paths))]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from triwalks import cli, lattice, motzkin
+from triwalks import cli, lattice, motzkin, pyramid3d
 
 
 def run(capsys, *argv):
@@ -369,6 +369,15 @@ def test_counts_past_the_digit_limit_of_str(capsys):
     assert sys.get_int_max_str_digits() == limit  # the process limit is left alone
 
 
+def test_pyramid_and_waffle_counts_past_the_digit_limit_of_str(capsys):
+    # the CLI's cell sum against the pyramid DP; at the corner C(z) is the one
+    # cell anchored at (0, 0), so the waffle count from there is the same number
+    pyramid = _count(capsys, "count pyramid --L 8 --n 8300")
+    assert pyramid > 10**4300
+    assert pyramid == pyramid3d.count_pyramid_paths(8, 8300, lattice.origin(8, 3))
+    assert _count(capsys, "count waffle --L 8 --n 8300") == pyramid
+
+
 @pytest.mark.parametrize(
     "argv",
     ["count motzkin --n 3 --amplitude {big}", "count triangular --L 3 --n -{big}",
@@ -391,7 +400,8 @@ def test_oversized_integer_flags_are_too_large(capsys, argv):
      ("profile --point 0,-{big},1", 1, "bad point: value too large (4400 digits)"),
      ("pyramid map --L 2 --cell {big},0 --walk N", 1, "bad point: value too large (4400 digits)"),
      ("map --method random:{big} --L 2 UD", 2,
-      "triwalks map: argument --method: value too large (4400 digits)")],
+      "triwalks map: argument --method: value too large (4400 digits)"),
+     ("map --direction t2m --L 3 s{big}", 1, "bad step token: value too large (4400 digits)")],
 )
 def test_oversized_integers_inside_string_flags_are_too_large(capsys, argv, code, error):
     got, _, doc = run(capsys, *argv.format(big="7" * 4400).split())

@@ -149,10 +149,14 @@ STEP_TOKENS = {
     "S1": "bad step token 'S1'; want s<k> or -s<k>",
     "s١": (1,),  # ARABIC-INDIC DIGIT ONE is a digit to int()
     "": (),
+    "s²": "bad step token 's²'; want s<k> or -s<k>",  # a digit, but not to int()
+    "-s" + "7" * 4400: "bad step token: value too large (4400 digits)",  # no digit echoed
 }
 
 
-@pytest.mark.parametrize("text", list(STEP_TOKENS))
+@pytest.mark.parametrize(
+    "text", [pytest.param(t, id=f"{t[:2]}<{len(t) - 2} digits>") if len(t) > 80 else t
+             for t in STEP_TOKENS])
 def test_parse_steps_token_table(text):
     want = STEP_TOKENS[text]
     for _ in range(2):  # the second call reads the memoised token

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -388,7 +391,7 @@ def test_gf_coefficients():
         assert coeffs[0] == 1
         for n in range(11):
             assert coeffs[n] == pyramid3d.count_pyramid_paths(L, n, lattice.origin(L, 3))
-    with pytest.raises(PrecisionLoss):
+    with pytest.raises(PrecisionLoss, match=r"^coefficient 0 off by \S+$"):
         pyramid3d.pyramid_gf_coefficients(3, 12, tolerance=1e-12, dps=3)
 
 
@@ -396,6 +399,51 @@ def test_gf_matches_reflection_past_the_fixed_precision():
     # 150 terms need about 110 digits; every coefficient is an exact integer
     coeffs = pyramid3d.pyramid_gf_coefficients(12, 150)
     assert coeffs == [pyramid3d.corner_count_by_reflection(12, n) for n in range(151)]
+
+
+def test_gf_equals_the_corner_count_up_to_L_16_and_200_terms():
+    # at the corner C(z) is the one cell anchored at (0, 0), so forward_count
+    # there is the waffle count from (0, 0), swept here once for every n
+    N = 200
+    for L in range(17):
+        index, gathers = pyramid3d._waffle_graph(L)
+        counts = [int(pt[1] == 0) for pt in index]
+        corner = []
+        for _ in range(N + 1):
+            corner.append(counts[index[(0, 0)]])
+            counts = lattice.sweep(counts, gathers)
+        assert pyramid3d.pyramid_gf_coefficients(L, N) == corner, L
+        assert corner[N] == pyramid3d.forward_count(L, lattice.origin(L, 3), N), L
+
+
+def test_gf_fixed_point_pi_and_cosines_are_within_a_unit():
+    bits = 160  # 10^-50 is 2^-166, below a unit
+    pi50 = 314159265358979323846264338327950288419716939937510  # pi * 10^50
+    assert abs(pyramid3d._pi(bits) - (pi50 << bits) // 10**50) <= 2
+    one = 1 << bits
+    for M in (5, 8, 16, 19):
+        c = pyramid3d._two_cos(range(M + 1), M, bits)
+        assert (c[0], c[M]) == (2 * one, -2 * one)
+        for r in range(M // 2 + 1):
+            # 2 cos(2x) = (2 cos x)^2 - 2, and cos(pi - x) = -cos x
+            assert abs((c[r] * c[r] >> bits) - 2 * one - c[2 * r]) <= 5, (M, r)
+            assert abs(c[r] + c[M - r]) <= 2, (M, r)
+
+
+def test_gf_answers_2000_terms():
+    # the tolerance is compared in integers: as a float, tolerance times the
+    # 4,000-bit denominator would overflow
+    coeffs = pyramid3d.pyramid_gf_coefficients(4, 2000)
+    assert coeffs[2000] == pyramid3d.forward_count(4, lattice.origin(4, 3), 2000)
+    assert coeffs[2000] > 10**800
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    code = "import sys, triwalks.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(pyramid3d.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
 
 
 def test_waffle_points_are_checked():

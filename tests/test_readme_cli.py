@@ -34,3 +34,15 @@ def test_readme_examples_print_the_recorded_json(tmp_path, monkeypatch, capsys):
         doc = json.loads(lines[-1])
         doc.pop("timing")
         assert (code, doc) == (case["exit"], case["doc"]), case["argv"]
+
+
+def test_gf_documents_keep_their_bytes(capsys):
+    # the closed form's coefficients are digit strings, in the recorded order
+    golden = json.loads((ROOT / "golden" / "readme_cli.json").read_text())
+    cases = [case for case in golden if case["argv"][0] == "gf"]
+    assert cases
+    for case in cases:
+        assert cli.main(case["argv"]) == case["exit"]
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        doc.pop("timing")
+        assert json.dumps(doc) == json.dumps(case["doc"]), case["argv"]
