@@ -6,9 +6,9 @@ commands, of saving a random scaffolding and of a fresh interpreter that
 imports the CLI, and the time and memory of the samples and of reading that
 file back, written to a BENCH_*.json file.
 
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_18.json
-    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_18.json
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_18.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_19.json
+    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_19.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_19.json
     ...
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
@@ -91,6 +91,8 @@ COUNT_ARGVS = [
     "count triangular --d 3 --L 30 --n 400",
     "count pyramid --L 30 --n 400 --start 7,8,9,6",
     "count waffle --L 30 --n 400",
+    "count waffle --L 40 --n 10000",
+    "count pyramid --L 40 --n 2000 --start 10,10,10,10",
     "gf --L 10 --terms 100",
 ]
 

@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
@@ -70,23 +71,23 @@ def count_pyramid_paths(L, n, start, orientation="F"):
 
 
 def forward_count(L, z, n):
-    """Length-n forward walks from ``z``, by the cell sum
+    """Length-n forward walks from ``z``: p_n(z) = sum over c in C(z) of W_n(h_z(c)).
 
-        p_n(z) = sum over the cells c of C(z) of W_n(h_z(c)),
-
-    the counting form of the 3d scaffolding, which from every start is a
-    bijection from (cell, axis-ending waffle walk) pairs onto forward walks.
-    By direction-vector independence this is also the number of walks with
-    any direction vector of length n, backward walks included. One waffle
-    sweep, O(n L^2); ``count_pyramid_paths`` is its oracle.
+    This counting form of the 3d scaffolding, a bijection from (cell,
+    axis-ending waffle walk) pairs onto forward walks, holds from every start
+    and, by direction-vector independence, for any direction vector of length
+    n. The anchors, in the coordinates of ``_walker_pairs``, are every v in
+    |x1 - x3| .. x1 + x3 (step 2) with every u in x1 + x3 .. L - |x2 - x4|
+    (step 2): one call sums them, O(n L). ``count_pyramid_paths`` is its oracle.
     """
     z = tuple(z)
     if len(z) != 4 or sum(z) != L or min(z) < 0:  # by bounds: no pyramid graph is built
         raise OutOfLattice(f"start {z} not in the lattice of side {L}, d=3")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    index, counts = _waffle_table(L, n, _on_axis)
-    return sum(counts[index[anchor(z, c)]] for c in profile3d(z))
+    x1, x2, x3, x4 = z
+    return _walker_pairs(L, n, range(abs(x1 - x3), x1 + x3 + 1, 2),
+                         range(x1 + x3, L - abs(x2 - x4) + 1, 2), [(e, e) for e in range(L + 1)])
 
 
 def paired_start_point(L, i, j):
@@ -107,36 +108,35 @@ def _check_walk(L, n, start):
     _check_waffle_point(start, L)
 
 
-def _waffle_table(L, n, ends):
-    """Point index, and the walks of length n from every waffle point that
-    end at a point where ``ends`` holds."""
-    index, gathers = _waffle_graph(L)
-    counts = [int(ends(pt)) for pt in index]
+def _walker_pairs(L, n, lower, upper, ends):
+    """Waffle walks of length n from each (v, u) in ``lower`` x ``upper`` to
+    each (v, u) in ``ends``, where v = i - j and u = i + j: 0 <= v <= u <= L.
+
+    A step moves v and u by +-1 each, so v and u + 2 are walkers of one parity
+    on 0..L+2 that never meet (Grabiner 2002). By Lindstrom-Gessel-Viennot they
+    number P(v0, v1) P(u0+2, u1+2) - P(v0, u1+2) P(u0+2, v1), P counting +-1
+    walks on 0..L+2; bilinear in the starts, that is two 1-D sweeps, O(n L)."""
+    low = [int(x in lower) for x in range(L + 3)]
+    up = [int(x - 2 in upper) for x in range(L + 3)]
     for _ in range(n):
-        counts = lattice.sweep(counts, gathers)
-    return index, counts
-
-
-def _on_axis(pt):
-    return pt[1] == 0
-
-
-def _waffle_count(L, n, start, ends):
-    """Walks of length n from ``start`` ending at a point where ``ends`` holds."""
-    _check_walk(L, n, start)
-    index, counts = _waffle_table(L, n, ends)
-    return counts[index[tuple(start)]]
+        low = list(map(add, [0, *low], [*low[1:], 0]))
+        up = list(map(add, [0, *up], [*up[1:], 0]))
+    return sum(low[v] * up[u + 2] - low[u + 2] * up[v] for v, u in ends)
 
 
 def count_waffle_walks(L, n, start):
-    """Walks of length n inside the waffle from ``start`` ending on the axis."""
-    return _waffle_count(L, n, start, _on_axis)
+    """Walks of length n in the waffle from ``start`` to the axis, O(n L) (``_walker_pairs``)."""
+    _check_walk(L, n, start)
+    i, j = start
+    return _walker_pairs(L, n, [i - j], [i + j], [(e, e) for e in range(L + 1)])
 
 
 def count_waffle_walks_to(L, n, start, end=(0, 0)):
-    """Walks of length n inside the waffle from ``start`` to a single point."""
-    end = tuple(end)
-    return _waffle_count(L, n, start, lambda pt: pt == end)
+    """Walks of length n inside the waffle from ``start`` to the waffle point ``end``."""
+    _check_walk(L, n, start)
+    _check_waffle_point(end, L)
+    (i, j), (a, b) = start, end
+    return _walker_pairs(L, n, [i - j], [i + j], [(a - b, a + b)])
 
 
 def signed_waffle_array(L, n_max):
@@ -386,8 +386,7 @@ def enumerate_waffle_walks(L, start, n, end_on_axis=True):
     """All length-n waffle walks from ``start`` (ending on the axis unless
     ``end_on_axis`` is false), as NESW words in lexicographic N < E < S < W.
 
-    Moves are checked with ``in_waffle``, not read off the counting graph,
-    so the enumeration stays an independent oracle for the counts.
+    Moves are checked with ``in_waffle``: an oracle independent of the counts.
     """
     _check_walk(L, n, start)
 

@@ -362,13 +362,15 @@ def check_omega(max_L=5, max_n=7):
 def check_pyramid_waffle(max_L=4, max_n=7):
     """The count identity w = p(i,j) - p(i-1,j-1) and the signed symmetry.
 
-    Every count here, the signed array included, is a ``lattice.sweep`` of
-    the gathers from ``lattice.neighbour_rows``, so this check tests the
-    identities, not the kernel. The pyramid side is the DP
-    ``count_pyramid_paths``, never the served ``forward_count``, which reads
-    the waffle counts and would check the identity against itself. The test
-    suite compares ``sweep`` with a per-point sum, and ``count_waffle_walks``
-    with ``enumerate_waffle_walks``, which moves with ``in_waffle``.
+    The waffle side is ``count_waffle_walks``, the Lindstrom-Gessel-Viennot
+    determinant of two 1-D walkers. The pyramid side is the DP
+    ``count_pyramid_paths``, never the served ``forward_count``, which sums
+    the same determinant and would check the identity against itself. So
+    the identity pits the determinant against the pyramid DP, and the signed
+    array, a ``lattice.sweep`` of the 2-D waffle gathers, pits it against a
+    2-D sweep where i + j <= L. The test suite compares ``count_waffle_walks``
+    with a 2-D sweep and with ``enumerate_waffle_walks``, which moves with
+    ``in_waffle``.
     """
     res = CheckResult("pyramid/waffle count identity", detail=f"L<={max_L}, n<={max_n}")
     for L in range(max_L + 1):

@@ -65,6 +65,27 @@ def test_enumerated_waffle_walks_match_their_count(data, L, n):
     )
 
 
+@settings(max_examples=50)
+@given(data=st.data(), L=st.integers(0, 14), n=st.integers(0, 60))
+def test_waffle_counts_equal_the_2d_sweep(data, L, n):
+    # swept(ends) maps each point to its walks of length n ending in ends;
+    # N/E/S/W steps are their own reversals, so swept({start}) also maps each
+    # point to the walks from start to it
+    index, gathers = pyramid3d._waffle_graph(L)
+
+    def swept(ends):
+        counts = [int(pt in ends) for pt in index]
+        for _ in range(n):
+            counts = lattice.sweep(counts, gathers)
+        return dict(zip(index, counts))
+
+    on_axis = swept({pt for pt in index if pt[1] == 0})
+    assert {pt: pyramid3d.count_waffle_walks(L, n, pt) for pt in index} == on_axis
+    start = data.draw(st.sampled_from(list(index)))
+    to_start = swept({start})
+    assert {pt: pyramid3d.count_waffle_walks_to(L, n, start, pt) for pt in index} == to_start
+
+
 @st.composite
 def walks(draw, min_size=50, max_size=500):
     """(d, L, start, walk, target dv): a valid walk of the given length range,

@@ -148,6 +148,9 @@ def test_count_identity_with_pyramid():
             assert pyramid3d.count_waffle_walks(L, n, (0, 0)) == pyramid3d.count_pyramid_paths(
                 L, n, lattice.origin(L, 3)
             )
+    assert pyramid3d.count_waffle_walks(30, 400, (0, 0)) == pyramid3d.count_pyramid_paths(
+        30, 400, lattice.origin(30, 3)
+    )
 
 
 def test_signed_array_symmetry_and_agreement():
@@ -298,6 +301,9 @@ def test_cell_sum_equals_the_dp_at_every_point():
 def test_cell_sum_equals_the_dp_past_the_grid():
     z = (7, 8, 9, 6)
     assert pyramid3d.forward_count(30, z, 400) == pyramid3d.count_pyramid_paths(30, 400, z)
+    L, n = 12, 40
+    table = lattice.count_table(L, 3, "F" * n)
+    assert [pyramid3d.forward_count(L, z, n) for z in pyramid3d.pyramid_points(L)] == table
 
 
 def test_corner_counts_three_ways():
@@ -334,15 +340,17 @@ def test_cell_sum_raises_the_errors_of_the_dp(call, error):
 
 
 def test_the_dp_oracles_never_read_the_cell_sum():
-    # run each oracle under sys.setprofile: no waffle code may be reached
+    # run each DP, reflection and GF oracle under sys.setprofile: no served
+    # count may be reached; the served counts themselves reach every one
     import sys
 
-    served = {pyramid3d.forward_count.__code__, pyramid3d._waffle_table.__code__}
+    served = {pyramid3d.forward_count.__code__, pyramid3d.count_waffle_walks.__code__,
+              pyramid3d.count_waffle_walks_to.__code__, pyramid3d._walker_pairs.__code__}
     reached = []
 
     def profiler(frame, event, arg):
         if event == "call" and frame.f_code in served:
-            reached.append(frame.f_code.co_name)
+            reached.append(frame.f_code)
 
     sys.setprofile(profiler)
     try:
@@ -351,9 +359,20 @@ def test_the_dp_oracles_never_read_the_cell_sum():
         lattice.count_generic(3, 3, (1, 0, 1, 1), 3)
         lattice.count_table(3, 3, "FF")
         lattice.generic_table(3, 3, 2)
+        pyramid3d.reflection_count(3, 4, (1, 0))
+        pyramid3d.corner_count_by_reflection(3, 4)
+        pyramid3d.pyramid_gf_coefficients(3, 4)
     finally:
         sys.setprofile(None)
     assert reached == []
+    sys.setprofile(profiler)
+    try:
+        pyramid3d.forward_count(3, (1, 0, 1, 1), 4)
+        pyramid3d.count_waffle_walks(3, 4, (1, 0))
+        pyramid3d.count_waffle_walks_to(3, 4, (1, 0))
+    finally:
+        sys.setprofile(None)
+    assert set(reached) == served
 
 
 def test_pyramid_to_waffle_errors():
@@ -447,11 +466,18 @@ def test_importing_the_cli_loads_no_mpmath():
 
 
 def test_waffle_points_are_checked():
-    for start in ((0, 0, 1), (1,), (3, 2), (-1, 0)):
-        with pytest.raises(OutsideWaffle):
-            pyramid3d.count_waffle_walks(4, 2, start)
-        with pytest.raises(OutsideWaffle):
-            pyramid3d.reflection_count(4, 2, start)
+    # an end is checked like a start, with the same message
+    for pt in ((0, 0, 1), (1,), (3, 2), (-1, 0), (5, 0), (1, 1, 1)):
+        messages = []
+        for count in (pyramid3d.count_waffle_walks, pyramid3d.reflection_count,
+                      pyramid3d.count_waffle_walks_to):
+            with pytest.raises(OutsideWaffle) as info:
+                count(4, 2, pt)
+            messages.append(str(info.value))
+        with pytest.raises(OutsideWaffle) as info:
+            pyramid3d.count_waffle_walks_to(4, 2, (0, 0), pt)
+        messages.append(str(info.value))
+        assert set(messages) == {f"{pt} is not a waffle point (i, j) with 0 <= j <= i <= 4 - j"}
 
 
 def test_free_walk_count():
