@@ -1,14 +1,15 @@
 """Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
-scaffolding transducers, the forward sampler, the 3d scaffolding, the
-closed-form generating function and the sampler and trapezium checks of
-``verify``, end-to-end timings of large ``count``, ``map`` and ``sample``
-commands, of saving a random scaffolding and of a fresh interpreter that
-imports the CLI, and the time and memory of the samples and of reading that
-file back, written to a BENCH_*.json file.
+scaffolding transducers (trapezium both ways and bicolored, random both
+ways), the forward sampler, the 3d scaffolding, the closed-form generating
+function and the sampler and trapezium checks of ``verify``, end-to-end
+timings of large ``count``, ``map`` and ``sample`` commands, of saving a
+random scaffolding and of a fresh interpreter that imports the CLI, and the
+time and memory of the samples and of reading that file back, written to a
+BENCH_*.json file.
 
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_19.json
-    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_19.json
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_19.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_20.json
+    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_20.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_20.json
     ...
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
@@ -139,6 +140,16 @@ def rows():
     params = {"n": n, "L": L, "word": "uniform_sample(n, L, seed=1)"}
     out.append(("trapezium m2t", params, best_of(scaf.motzkin_to_triangular, word)))
     out.append(("trapezium t2m", params, best_of(scaf.triangular_to_motzkin, walk)))
+    rng = random.Random(1)
+    colored = motzkin.MotzkinWord(word.steps, colors="".join(rng.choice("bw") for _ in word.steps))
+    out.append(("trapezium bicolored two", {**params, "colors": "random.Random(1), one per letter"},
+                best_of(scaf.bicolored_to_generic, colored, "two")))
+    rand = scaffold2d.RandomScaffolding(L, 3)
+    image = rand.motzkin_to_triangular(word)
+    rand.triangular_to_motzkin(image)  # builds the inverse tables before the timing
+    rparams = {**params, "scaffolding": "RandomScaffolding(L, 3)"}
+    out.append(("random:3 m2t", rparams, best_of(rand.motzkin_to_triangular, word)))
+    out.append(("random:3 t2m", rparams, best_of(rand.triangular_to_motzkin, image)))
     text = lattice.format_steps(walk)
     out.append(("lattice.parse_steps", {**params, "text": "format_steps(m2t image of word)"},
                 best_of(lattice.parse_steps, text)))

@@ -21,7 +21,7 @@ import functools
 import itertools
 from operator import add, itemgetter
 
-from .errors import BadDirectionVector, CapExceeded, OutOfLattice
+from .errors import BadDirectionVector, CapExceeded, NotAllowed, OutOfLattice
 
 DEFAULT_CAP = 1_000_000
 
@@ -72,6 +72,49 @@ def move(z, step):
         v1, v2, v3, v4 = v
         return (x1 + v1, x2 + v2, x3 + v3, x4 + v4)
     return tuple(map(add, z, v))
+
+
+def run(z, state, letters, lookup):
+    """Drive a scaffolding from point ``z`` in ``state``: per letter, one
+    ``lookup(z, state, letter) -> (step, state)`` and one ``move``. Returns
+    (steps, end point, end state). A refused lookup raises NotAllowed, and a
+    walk off the lattice OutOfLattice, with no check per letter: no
+    scaffolding has an entry off the lattice, so a step that leaves it fails
+    the next lookup, and a last step that leaves fails the check at the end."""
+    steps = []
+    try:
+        for letter in letters:
+            s, state = lookup(z, state, letter)
+            steps.append(s)
+            z = move(z, s)
+    except NotAllowed:
+        if min(z) >= 0:
+            raise
+    if min(z) < 0:
+        raise OutOfLattice(f"step {len(steps)} leaves the lattice at {z}")
+    return tuple(steps), z, state
+
+
+def unrun(z, steps, state, inverse, error):
+    """Undo ``run`` on the walk ``steps`` from ``z`` that ended in ``state``.
+    Returns (start state, the letters as one string). A checking pass keeps
+    the point before each step and raises ``error``, the family's exception
+    type, at the first step that is not forward or leaves the lattice. Then,
+    from the far end, one ``inverse(z, step, state) -> (state, letter)`` each."""
+    shape = {3: "triangle", 4: "pyramid"}.get(len(z), "lattice")
+    forward = tuple(range(1, len(z) + 1))
+    before, letters = [], []
+    for s in steps:
+        if s not in forward:
+            raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{len(z)}")
+        before.append(z)
+        z = move(z, s)
+        if min(z) < 0:
+            raise error(f"walk leaves the {shape}")
+    for z, s in zip(reversed(before), reversed(steps)):
+        state, letter = inverse(z, s, state)
+        letters.append(letter)
+    return state, "".join(reversed(letters))
 
 
 def forward_neighbours(z):

@@ -201,7 +201,6 @@ def allowed_cardinal(z, cell, L):
 # each input step: its index in the order N, E, S, W and the offset (dp, dq)
 # of its cell from the block's corner (p0, q0)
 _INPUT_CELL = {"N": (0, 0, 0), "E": (1, 0, 1), "S": (2, 1, 1), "W": (3, 1, 0)}
-_FORWARD = (1, 2, 3, 4)
 
 
 def _block(z, p0, q0):
@@ -261,7 +260,10 @@ def diamond_delta(z, cell, step):
 def _lookup(z, cell, step):
     """``diamond_delta`` for a cell known to be in C(z)."""
     p, q = cell
-    di, dj = CARDINAL[step]
+    try:
+        di, dj = CARDINAL[step]
+    except (KeyError, TypeError):
+        raise NotAllowed(f"bad letter {step!r}") from None
     if not in_waffle((z[0] + z[2] + p - q + di, p + q + dj), sum(z)):
         raise NotAllowed(f"step {step} leaves the waffle from {anchor(z, cell)}")
     k, dp, dq = _INPUT_CELL[step]
@@ -278,7 +280,7 @@ def diamond_delta_inv(z, j, cell):
     (p0+1, q0) for even j. The output's rank among the kept outputs picks
     the kept input of the same rank.
     """
-    if j not in _FORWARD:
+    if j not in (1, 2, 3, 4):
         raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
     p, q = cell
     p0, q0 = (p, q - 1) if j % 2 else (p - 1, q)
@@ -335,44 +337,24 @@ def waffle_to_pyramid(z_c, start_cell, walk):
     z, cell = tuple(z_c), tuple(start_cell)
     if not _has_cell(z, cell):
         raise InvalidWalk(f"cell {cell} not in C({z})")
-    steps = []
-    for ch in walk:
-        if ch not in CARDINAL:
-            raise InvalidWalk(f"bad letter {ch!r}")
-        try:
-            j, cell = _lookup(z, cell, ch)  # each output cell is in C(z + s_j)
-        except NotAllowed as exc:
-            raise InvalidWalk(str(exc)) from None
-        steps.append(j)
-        z = lattice.move(z, j)
+    try:
+        steps, z, cell = lattice.run(z, cell, walk, _lookup)  # each cell in C(z + s_j)
+    except NotAllowed as exc:
+        raise InvalidWalk(str(exc)) from None
     if sum(cell):  # the anchor's height j is p + q
         raise InvalidWalk(f"walk ends at {anchor(z, cell)}, off the axis j = 0")
-    return tuple(steps)
+    return steps
 
 
 def pyramid_to_waffle(z_c, steps):
     """Inverse of ``waffle_to_pyramid``: recover (start cell, walk).
 
-    The checking pass keeps the point before each step, and the backward
-    pass reads them back instead of moving again.
+    ``lattice.unrun`` from the cell (0, 0) of the axis at the far end.
     """
     z = tuple(z_c)
     if len(z) != 4 or min(z) < 0:
         raise InvalidWalk(f"start {z} is not a pyramid point")
-    before = []
-    for s in steps:
-        if s not in _FORWARD:
-            raise InvalidWalk(f"bad step {s!r}: a pyramid walk takes forward steps 1-4")
-        before.append(z)
-        z = lattice.move(z, s)
-        if min(z) < 0:
-            raise InvalidWalk("walk leaves the pyramid")
-    cell = (0, 0)
-    letters = []
-    for z, s in zip(reversed(before), reversed(steps)):
-        cell, ch = diamond_delta_inv(z, s, cell)
-        letters.append(ch)
-    return cell, "".join(reversed(letters))
+    return lattice.unrun(z, steps, (0, 0), diamond_delta_inv, InvalidWalk)
 
 
 # -- enumeration oracles ------------------------------------------------------

@@ -9,8 +9,9 @@ z, each target tagged with the forward step leading to it, such that the
 cell height changes by +1/0/-1 under an up/flat/down step. Running the
 table along a Motzkin path (cell by cell, starting from the unique height-0
 cell of the origin) emits one forward lattice step per letter, and running
-it backwards inverts the map exactly. Both directions make one table lookup
-per letter; ``lookup_count`` exposes that for the linear-time contract.
+it backwards inverts the map exactly: ``lattice.run`` and ``lattice.unrun``
+with ``delta`` and ``delta_inv``. Both directions make one table lookup per
+letter; ``lookup_count`` exposes that for the linear-time contract.
 
 Two constructions are provided. ``RandomScaffolding`` materializes tables by
 matching, per height class, the incoming (cell, step) pairs with the target
@@ -25,10 +26,9 @@ from __future__ import annotations
 import functools
 import json
 import random
-from itertools import repeat
 
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
-from .lattice import all_points, forward_neighbours, move, origin
+from .lattice import all_points, forward_neighbours, move, origin, run, unrun
 from .motzkin import _HEIGHT_MOVE, MotzkinWord, allowed_steps, uniform_sample
 from .profiles import CheckResult, cell_bounds, cell_representation, cells_at_height
 
@@ -53,25 +53,11 @@ class Scaffolding:
             word = MotzkinWord(word)
         if not word.is_path:
             raise AmplitudeExceeded("input must start at height 0")
-        return self._run(word.steps, repeat("b"))
+        return self._run(word.steps, self.delta)
 
     def triangular_to_motzkin(self, steps):
-        """Inverse transducer: consume the walk from its far end."""
-        z = origin(self.L)
-        points = []
-        for s in steps:
-            if s <= 0:
-                raise OutOfLattice("the transducer maps forward walks only")
-            points.append(z)
-            z = move(z, s)
-            if min(z) < 0:
-                raise OutOfLattice("walk leaves the triangle")
-        cell = (0, 0)
-        letters = []
-        for z, s in zip(reversed(points), reversed(steps)):
-            cell, ch = self.delta_inv(z, s, cell)
-            letters.append(ch)
-        return MotzkinWord("".join(reversed(letters)))
+        """Inverse transducer: ``unrun`` from the height-0 cell at the far end."""
+        return MotzkinWord(unrun(origin(self.L), steps, (0, 0), self.delta_inv, OutOfLattice)[1])
 
     # -- bicolored extensions ------------------------------------------------
 
@@ -104,32 +90,21 @@ class Scaffolding:
             return transform(fwd, dv)
         if method != "two":
             raise ValueError(f"unknown method {method!r}")
-        return self._run(word.steps, word.colors or repeat("b"))
+        return self._run(zip(word.steps, word.colors or "b" * len(word)), self._colored)
 
-    def _run(self, letters, colors):
-        """The transducer: one lookup per letter from the origin's height-0
-        cell, in the reverse table for a white letter.
+    def _colored(self, z, cell, letter):
+        """Method two's lookup of a (step, color) letter."""
+        ch, col = letter
+        return self.delta(z, cell, ch) if col == "b" else self.delta_bar(z, cell, ch)
 
-        Neither scaffolding has an entry at a point off the triangle, so a
-        step that leaves it fails the next lookup; only the last step needs a
-        bounds check.
-        """
-        z = origin(self.L)
-        cell = (0, 0)
-        out = []
+    def _run(self, letters, lookup):
+        """``run`` from the origin's height-0 cell, with amplitude errors."""
         try:
-            for ch, col in zip(letters, colors):
-                s, cell = self.delta(z, cell, ch) if col == "b" else self.delta_bar(z, cell, ch)
-                out.append(s)
-                z = move(z, s)
+            return run(origin(self.L), (0, 0), letters, lookup)[0]
         except NotAllowed:
-            if min(z) >= 0:
-                raise AmplitudeExceeded(
-                    f"word does not fit in a triangle of side {self.L}"
-                ) from None
-        if min(z) < 0:
-            raise AmplitudeExceeded(f"left the triangle of side {self.L}")
-        return tuple(out)
+            raise AmplitudeExceeded(f"word does not fit in a triangle of side {self.L}") from None
+        except OutOfLattice:
+            raise AmplitudeExceeded(f"left the triangle of side {self.L}") from None
 
 
 class RandomScaffolding(Scaffolding):

@@ -314,6 +314,16 @@ def test_omega_rejects_steps_outside_the_triangle(capsys):
     assert doc["ok"] is False and "is not a step" in doc["error"]
 
 
+@pytest.mark.parametrize("method", ["trapezium", "random:3"])
+@pytest.mark.parametrize("walk, step", [("s1 s4", "4"), ("-s1", "-1"), ("s1 -s1", "-1")])
+def test_scaffolding_inverse_names_a_bad_step(capsys, method, walk, step):
+    # "--" lets a walk that starts with "-" be the input
+    code, human, doc = run(capsys, "map", "--method", method, "--direction", "t2m",
+                           "--L", "3", "--", walk)
+    assert code == 1 and human == [] and doc["ok"] is False
+    assert doc["error"] == f"bad step {step}: a triangle walk takes forward steps 1-3"
+
+
 def test_gf_precision_follows_the_number_of_terms(capsys):
     code, _, doc = run(capsys, "gf", "--L", "10", "--terms", "100")
     assert code == 0 and len(doc["outputs"]["coefficients"]) == 101

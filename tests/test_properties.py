@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import brute_generic  # noqa: E402
 from triwalks import cli, flips, lattice, motzkin, omega, pyramid3d  # noqa: E402
+from triwalks.errors import TriwalksError  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
 
 
@@ -200,14 +201,36 @@ def waffle_walks(draw, min_size=50, max_size=500):
     return z, cell, "".join(letters)
 
 
+def answer_or_error(fn, *args):
+    """``fn(*args)``, or None when it raises a TriwalksError; any other
+    exception fails the test."""
+    try:
+        return fn(*args)
+    except TriwalksError:
+        return None
+
+
+# malformed inputs: steps that may be backward, zero or out of range, and
+# letters that may be white (lowercase) or no letter at all
+BAD_STEPS = st.lists(st.integers(-4, 5), max_size=8).map(tuple)
+
+
 @settings(max_examples=30)
-@given(waffle_walks())
-def test_waffle_pyramid_round_trip(case):
+@given(waffle_walks(), BAD_STEPS, st.text(alphabet="NESWX", max_size=8))
+def test_waffle_pyramid_round_trip(case, steps, letters):
     z, cell, walk = case
     path = pyramid3d.waffle_to_pyramid(z, cell, walk)
     assert len(path) == len(walk) and all(s > 0 for s in path)
     lattice.validate_path(sum(z), 3, z, path)
     assert pyramid3d.pyramid_to_waffle(z, path) == (cell, walk)
+    # on malformed input each direction answers and round-trips, or raises
+    # a TriwalksError
+    back = answer_or_error(pyramid3d.pyramid_to_waffle, z, steps)
+    if back is not None:
+        assert pyramid3d.waffle_to_pyramid(z, *back) == steps
+    path = answer_or_error(pyramid3d.waffle_to_pyramid, z, cell, letters)
+    if path is not None:
+        assert pyramid3d.pyramid_to_waffle(z, path) == (cell, letters)
 
 
 # one materialized scaffolding, built once at import
@@ -236,8 +259,8 @@ def scaffolded_paths(draw, min_size=50, max_size=500):
 
 
 @settings(max_examples=30)
-@given(scaffolded_paths())
-def test_transducer_round_trip_one_lookup_per_letter(case):
+@given(scaffolded_paths(), BAD_STEPS, st.text(alphabet="UFDufdX", max_size=8))
+def test_transducer_round_trip_one_lookup_per_letter(case, steps, letters):
     scaf, word = case
     n = len(word)
     before = scaf.lookup_count
@@ -250,6 +273,20 @@ def test_transducer_round_trip_one_lookup_per_letter(case):
     assert scaf.lookup_count - before == n
     assert back == word
     assert scaf.motzkin_to_triangular(back) == walk
+    # on malformed input each map answers, and m2t and t2m round-trip, or it
+    # raises a TriwalksError
+    back = answer_or_error(scaf.triangular_to_motzkin, steps)
+    if back is not None:
+        assert scaf.motzkin_to_triangular(back) == steps
+    walk = answer_or_error(scaf.motzkin_to_triangular, letters)
+    if walk is not None:
+        assert scaf.triangular_to_motzkin(walk).steps == letters
+    for method in ("one", "two"):
+        image = answer_or_error(scaf.bicolored_to_generic, letters, method)
+        if image is not None:
+            lattice.validate_path(scaf.L, 2, lattice.origin(scaf.L), image)
+            dv = motzkin.MotzkinWord.from_word(letters).direction_vector()
+            assert flips.direction_vector(image) == dv
 
 
 @settings(max_examples=30)

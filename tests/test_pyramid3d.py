@@ -273,6 +273,13 @@ def test_waffle_to_pyramid_errors():
     with pytest.raises(InvalidWalk):
         pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "S")
     assert pyramid3d.waffle_to_pyramid((0, 0, 0, 2), (0, 0), "") == ()
+    # a letter other than N, E, S, W is refused by the lookup itself
+    for letter in ("X", ["N"]):
+        with pytest.raises(NotAllowed) as exc:
+            pyramid3d.diamond_delta((1, 1, 1, 1), (0, 0), letter)
+        assert str(exc.value) == f"bad letter {letter!r}"
+    with pytest.raises(InvalidWalk, match="^bad letter 'X'$"):
+        pyramid3d.waffle_to_pyramid((1, 1, 1, 1), (0, 0), "EX")
 
 
 def test_waffle_to_pyramid_rejects_walks_ending_off_the_axis():

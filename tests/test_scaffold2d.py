@@ -5,7 +5,7 @@ import random
 import pytest
 
 from triwalks import flips, lattice, motzkin, profiles, scaffold2d
-from triwalks.errors import EmptySet, NotAllowed
+from triwalks.errors import EmptySet, NotAllowed, OutOfLattice
 from triwalks.motzkin import MotzkinWord
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding
 
@@ -228,6 +228,21 @@ def test_trapezium_domain_errors():
         scaf.delta((0, 0, 3), (1, 0), "U")  # cell not in C(z)
     with pytest.raises(NotAllowed):
         scaf.delta((0, 0, 3), (0, 0), "D")  # step not allowed at height 0
+
+
+@pytest.mark.parametrize("scaf", [TrapeziumScaffolding(3), RandomScaffolding(3, 3)],
+                         ids=["trapezium", "random"])
+def test_inverse_names_the_first_bad_step(scaf):
+    # the first step that is not forward is named, unless an earlier step
+    # leaves the triangle
+    for steps, why in (([1, 4], "bad step 4: a triangle walk takes forward steps 1-3"),
+                       ([-1], "bad step -1: a triangle walk takes forward steps 1-3"),
+                       (["a"], "bad step 'a': a triangle walk takes forward steps 1-3"),
+                       ([1, 1, 1, 1, 4], "walk leaves the triangle"),
+                       ([1, 0, 1, 1, 1], "bad step 0: a triangle walk takes forward steps 1-3")):
+        with pytest.raises(OutOfLattice) as exc:
+            scaf.triangular_to_motzkin(steps)
+        assert str(exc.value) == why
 
 
 def test_flat_word_image_is_the_corner_cycle():
