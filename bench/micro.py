@@ -1,20 +1,22 @@
 """Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
 scaffolding transducers (trapezium both ways and bicolored, random both
-ways), the forward sampler, the 3d scaffolding, the closed-form generating
-function and the sampler and trapezium checks of ``verify``, end-to-end
-timings of large ``count``, ``map`` and ``sample`` commands, of saving a
-random scaffolding and of a fresh interpreter that imports the CLI, and the
-time and memory of the samples and of reading that file back, written to a
-BENCH_*.json file.
+ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
+behind the served counts (and each of its two engines, where the checkout
+has them), the closed-form generating function and the sampler and
+trapezium checks of ``verify``, end-to-end timings of large ``count``,
+``map`` and ``sample`` commands, of saving a random scaffolding and of a
+fresh interpreter that imports the CLI, and the time and memory of the
+samples and of reading that file back, written to a BENCH_*.json file.
 
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_20.json
-    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_20.json
-    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_20.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
+    PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
+    PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-2 --out BENCH_21.json
     ...
 
 ``triwalks`` is imported from PYTHONPATH, so the same script times any
 checkout's ``src/``. Each row is the minimum over REPEATS calls, on inputs
-built once from fixed seeds. The run is stored under its label; other labels
+built once from fixed seeds; the ``ONCE_ARGVS`` rows, which take seconds
+each, are one call. The run is stored under its label; other labels
 already in the output file are kept, so one file holds several rounds of
 each side. Alternate the sides, one round each, so that a drift of the host
 shows in every pair alike. Standard library only.
@@ -47,9 +49,9 @@ from triwalks import cli, lattice, motzkin, pyramid3d, scaffold2d, verify
 REPEATS = 5
 
 
-def best_of(fn, *args, **kwargs):
+def best_of(fn, *args, repeats=REPEATS, **kwargs):
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
@@ -94,7 +96,17 @@ COUNT_ARGVS = [
     "count waffle --L 30 --n 400",
     "count waffle --L 40 --n 10000",
     "count pyramid --L 40 --n 2000 --start 10,10,10,10",
+    "count triangular --L 40 --n 10000",
+    "count triangular --L 40 --n 30000",
+    "count pyramid --L 40 --n 10000",
+    "count pyramid --L 40 --n 30000",
     "gf --L 10 --terms 100",
+]
+
+# timed once: on a checkout that steps the counts row by row each takes 10-16 s
+ONCE_ARGVS = [
+    "count triangular --L 40 --n 100000",
+    "count pyramid --L 40 --n 100000",
 ]
 
 SAMPLE_ARGVS = [
@@ -122,6 +134,28 @@ def move_pairs(d, calls, seed):
     points = lattice.all_points(21, d)
     steps = [s for j in range(1, d + 2) for s in (j, -j)]
     return [(rng.choice(points), rng.choice(steps)) for _ in range(calls)]
+
+
+def engine_rows():
+    """Both engines of ``lattice.tridiagonal_power`` on a Motzkin strip (one
+    start vector, diagonal 1 but 0 at the top) and on the +-1 walker (two
+    start vectors, diagonal 0), for N = 3, 13 and 43 entries, at half, once
+    and twice the n where the kernel switches engine. None for a checkout
+    without the kernel."""
+    if not hasattr(lattice, "tridiagonal_power"):
+        return []
+    out = []
+    for N in (3, 13, 43):
+        shapes = (("strip", [1] * (N - 1) + [0], [[1] + [0] * (N - 1)]),
+                  ("walkers", [0] * N, [[1] + [0] * (N - 1), [0] * (N - 1) + [1]]))
+        for kind, diag, vectors in shapes:
+            edge = int(lattice._crossover(diag))
+            for n in (edge // 2, edge, 2 * edge):
+                for engine in ("_packed_sweep", "_power_mod_chi"):
+                    out.append((f"lattice.{engine} {kind} N={N} n={n}",
+                                {"N": N, "n": n, "diag": kind, "vectors": len(vectors)},
+                                best_of(getattr(lattice, engine), diag, n, vectors)))
+    return out
 
 
 def rows():
@@ -173,12 +207,24 @@ def rows():
     out.append(("pyramid_to_waffle", {**params, "path": "waffle_to_pyramid(point, cell, walk)"},
                 best_of(pyramid3d.pyramid_to_waffle, z, path)))
 
+    # the largest sizes of the perfbench count workload: motzkin, triangular
+    # and waffle; each is one call of the 1-D transfer kernel
+    for L, n in ((12, 400), (24, 250)):
+        out.append((f"motzkin.meander_row L={L} n={n}", {"L": L, "n": n},
+                    best_of(motzkin.meander_row, L, n)))
+    out.append(("pyramid3d.count_waffle_walks L=30 n=200", {"L": 30, "n": 200, "start": [0, 0]},
+                best_of(pyramid3d.count_waffle_walks, 30, 200, (0, 0))))
+    out += engine_rows()
+
     for L, N in ((12, 150), (10, 1000)):
         out.append((f"pyramid_gf_coefficients L={L} N={N}", {"L": L, "N": N},
                     best_of(pyramid3d.pyramid_gf_coefficients, L, N)))
 
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
+    for argv in ONCE_ARGVS:
+        out.append((f"cli {argv}", {"argv": argv, "repeats": 1},
+                    best_of(run_cli, argv.split(), repeats=1)))
     # a fresh interpreter, bare and importing the CLI from the same src/
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     for code in ("pass", "import triwalks.cli"):

@@ -99,13 +99,14 @@ def unrun(z, steps, state, inverse, error):
     """Undo ``run`` on the walk ``steps`` from ``z`` that ended in ``state``.
     Returns (start state, the letters as one string). A checking pass keeps
     the point before each step and raises ``error``, the family's exception
-    type, at the first step that is not forward or leaves the lattice. Then,
-    from the far end, one ``inverse(z, step, state) -> (state, letter)`` each."""
+    type, at the first step that is not forward or leaves the lattice. A
+    forward step is an int (not a bool or a float that equals one) in
+    1..len(z). Then, from the far end, one ``inverse(z, step, state) ->
+    (state, letter)`` each."""
     shape = {3: "triangle", 4: "pyramid"}.get(len(z), "lattice")
-    forward = tuple(range(1, len(z) + 1))
     before, letters = [], []
     for s in steps:
-        if s not in forward:
+        if type(s) is not int or not 0 < s <= len(z):
             raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{len(z)}")
         before.append(z)
         z = move(z, s)
@@ -191,6 +192,160 @@ def sweep(counts, gathers):
     for gather in rest:
         total = map(add, total, gather(padded))
     return list(total)
+
+
+# (a, b): ``tridiagonal_power`` takes x^n mod chi for n > a + b N and the
+# packed sweep below, N the size of T, or half of it when the diagonal is 0:
+# then x^n mod chi has only every other coefficient, which halves its work.
+# Fitted to where the two engines took equal time, for N = 2..43 (the engine
+# rows of bench/micro.py in BENCH_21.json)
+POWER_CROSSOVER = 150, 5
+
+
+def _crossover(diag):
+    """The n above which ``tridiagonal_power`` takes x^n mod chi."""
+    a, b = POWER_CROSSOVER
+    return a + b * (len(diag) if any(diag) else len(diag) / 2)
+
+
+def tridiagonal_power(diag, n, vectors):
+    """T^n v for each v in ``vectors``, exactly, as lists of ints.
+
+    T is the symmetric tridiagonal matrix with the 0/1 diagonal ``diag`` and
+    ones beside it: one step of T sends the count at k to k - 1, k + 1 and,
+    where diag[k] is 1, k itself, and drops what leaves 0..len(diag) - 1.
+    The vectors hold non-negative ints. With N = len(diag), walks of up to
+    ``_crossover(diag)`` steps take the packed sweep, O(n) big-int operations
+    on N slots of O(n) bits; longer ones take x^n mod chi, O(log n) squarings
+    and O(N^2 log n) multiply-adds of numbers of O(n) bits.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if n > _crossover(diag):
+        return _power_mod_chi(diag, n, vectors)
+    return _packed_sweep(diag, n, vectors)
+
+
+def _packed_sweep(diag, n, vectors):
+    """T^n v for each v, by n packed steps.
+
+    All vectors share one int. Each entry has a slot of W bits, wide enough
+    for B_n = (2 + max(diag))^n max(v), a bound on every entry of T^m v for
+    m <= n, and each vector one empty slot above its N entries. A step is two
+    shifts, two masks and two additions of that int: the diagonal entries
+    stay, every slot gains its neighbours, and the last mask empties what
+    reached the gaps. No slot carries into the next: an entry of step m is
+    at most B_m, and a gap takes two entries of step m - 1, at most
+    2 B_{m-1} <= B_m. So a step costs a few operations on the whole int,
+    whatever its contents.
+    """
+    N, blocks = len(diag), len(vectors)
+    if not blocks:
+        return []
+    W = ((2 + max(diag)) ** n * max(map(max, vectors))).bit_length() or 1
+    span = (N + 1) * W  # one vector's slots and its gap
+    slot = (1 << W) - 1
+    x = 0
+    for b, v in enumerate(vectors):
+        for k, e in enumerate(v):
+            if e:
+                x += e << (b * span + k * W)
+    repeat = sum(1 << (b * span) for b in range(blocks))  # a mask for one vector, times this
+    dmask = sum(slot << (k * W) for k, d in enumerate(diag) if d) * repeat
+    full = ((1 << (N * W)) - 1) * repeat
+    for _ in range(n):
+        x = ((x & dmask) + (x << W) + (x >> W)) & full
+    flat = [(x >> s) & slot for s in range(0, blocks * span, W)]
+    return [flat[b * (N + 1):b * (N + 1) + N] for b in range(blocks)]
+
+
+@functools.lru_cache(maxsize=16)
+def _reduction(diag):
+    """The pairs (k, c) with x^N = sum of c x^k mod chi, chi = det(xI - T) for
+    the tuple ``diag``, N its length. chi comes from the three-term recurrence
+    p_k = (x - diag[k-1]) p_{k-1} - p_{k-2} of the leading minors. Cached per
+    diagonal; it holds structure only, never a count."""
+    prev, cur = [0], [1]
+    for a in diag:
+        nxt = [0, *cur]
+        for k, c in enumerate(cur):
+            nxt[k] -= a * c
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+    return tuple((k, -c) for k, c in enumerate(cur[:-1]) if c)
+
+
+def _square(poly):
+    """The coefficients of poly(x)^2, by one big-int square (Kronecker).
+
+    Each signed coefficient gets a slot of whole bytes, wide enough for any
+    product coefficient with a spare sign bit. The square's slots are read back
+    after adding half a slot to each, which makes every slot non-negative. A
+    polynomial x^e q(x^2), as x^n mod chi is when T's diagonal is 0, squares
+    as q, in half the slots.
+    """
+    terms = len(poly)
+    for e in (0, 1):
+        if terms > 2 and not any(poly[1 - e::2]):
+            q = _square(poly[e::2])
+            out = [0] * (2 * terms - 1)
+            out[2 * e:2 * e + 2 * len(q) - 1:2] = q
+            return out
+    bits = max(abs(c) for c in poly).bit_length()
+    B = (2 * bits + terms.bit_length() + 9) // 8
+    pos = int.from_bytes(b"".join(c.to_bytes(B, "little") if c > 0 else bytes(B)
+                                  for c in poly), "little")
+    neg = int.from_bytes(b"".join((-c).to_bytes(B, "little") if c < 0 else bytes(B)
+                                  for c in poly), "little")
+    width = 2 * terms - 1
+    half = 1 << (8 * B - 1)
+    bias = int.from_bytes((bytes(B - 1) + b"\x80") * width, "little")
+    raw = ((pos - neg) ** 2 + bias).to_bytes(width * B, "little")
+    return [int.from_bytes(raw[k * B:(k + 1) * B], "little") - half for k in range(width)]
+
+
+def _power_mod_chi(diag, n, vectors):
+    """T^n v for each v, by Cayley-Hamilton (Fiduccia 1985): T^n = r(T) with
+    r = x^n mod chi, chi = det(xI - T), so T^n v = sum over k < N of r_k T^k v.
+
+    r comes by square-and-multiply from the top bit of n: a square by
+    ``_square``, a multiply by x a shift, each reduced by the monic chi,
+    whose coefficients are small. One r serves every vector.
+    """
+    N = len(diag)
+    rules = _reduction(tuple(diag))
+
+    def reduce(poly):
+        for top in range(len(poly) - 1, N - 1, -1):
+            q = poly.pop()
+            if q:
+                base = top - N
+                for k, c in rules:
+                    poly[base + k] += q * c
+        return poly
+
+    bits = bin(n)[2:]
+    m, used = 0, 0  # r = x^m, written out while m < N
+    while used < len(bits) and 2 * m + int(bits[used]) < N:
+        m = 2 * m + int(bits[used])
+        used += 1
+    r = [0] * N
+    r[m] = 1
+    for bit in bits[used:]:
+        r = reduce(_square(r))
+        if bit == "1":
+            r = reduce([0, *r])
+    out = []
+    for w in vectors:
+        total = [0] * N
+        for rk in r:  # w = T^k v, small: its entries stay below 3^N max(v)
+            for i, e in enumerate(w):
+                if e:
+                    total[i] += rk * e
+            w = [a * e + b + c for a, e, b, c in zip(diag, w, [0, *w], [*w[1:], 0])]
+        out.append(total)
+    return out
 
 
 def point_index(L, d, start):

@@ -142,7 +142,9 @@ def _check_sizes(n, L):
 
 
 def _meander_rows(L, n):
-    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``."""
+    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``:
+    for the readers of every row, ``meander_count_table`` and ``uniform_sample``.
+    ``meander_row`` reads the last row alone from ``lattice.tridiagonal_power``."""
     _check_sizes(n, L)
     row = [1] + [0] * (L // 2)
     yield row
@@ -162,12 +164,14 @@ def meander_count_table(L, n):
 def meander_row(L, n):
     """row[i] = number of meanders of length n from height i, amplitude <= L.
 
-    The last row of ``meander_count_table``, by the same recurrence, keeping
-    one row of H + 1 big ints at a time: O(n L) time and O(L) numbers of memory.
+    The last row of ``meander_count_table``: T^n e_0 for the transfer matrix
+    T of the strip of heights 0..H, whose diagonal is 1 but at the top of an
+    even L. ``lattice.tridiagonal_power`` computes it, by O(n) packed steps
+    for short walks and O(H^2 log n) operations on n-bit numbers for long ones.
     """
-    for row in _meander_rows(L, n):
-        pass
-    return row
+    _check_sizes(n, L)
+    H = L // 2
+    return lattice.tridiagonal_power([1] * H + [L % 2], n, [[1] + [0] * H])[0]
 
 
 def count_meanders(L, n, i):

@@ -65,8 +65,8 @@ def forward_count(L, start, n):
 
     M_n(i) counts the meanders of amplitude at most L from height i. By
     direction-vector independence this is also the number of walks with any
-    direction vector of length n. It costs O(n L) time and one meander row of
-    memory; ``lattice.count_paths`` is its oracle.
+    direction vector of length n. It costs one ``meander_row``, one call of
+    ``lattice.tridiagonal_power``; ``lattice.count_paths`` is its oracle.
     """
     z = tuple(start)
     if len(z) != 3 or sum(z) != L or min(z) < 0:

@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 
 from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
@@ -78,7 +77,8 @@ def forward_count(L, z, n):
     and, by direction-vector independence, for any direction vector of length
     n. The anchors, in the coordinates of ``_walker_pairs``, are every v in
     |x1 - x3| .. x1 + x3 (step 2) with every u in x1 + x3 .. L - |x2 - x4|
-    (step 2): one call sums them, O(n L). ``count_pyramid_paths`` is its oracle.
+    (step 2): one call sums them, one call of ``lattice.tridiagonal_power``.
+    ``count_pyramid_paths`` is its oracle.
     """
     z = tuple(z)
     if len(z) != 4 or sum(z) != L or min(z) < 0:  # by bounds: no pyramid graph is built
@@ -115,17 +115,18 @@ def _walker_pairs(L, n, lower, upper, ends):
     A step moves v and u by +-1 each, so v and u + 2 are walkers of one parity
     on 0..L+2 that never meet (Grabiner 2002). By Lindstrom-Gessel-Viennot they
     number P(v0, v1) P(u0+2, u1+2) - P(v0, u1+2) P(u0+2, v1), P counting +-1
-    walks on 0..L+2; bilinear in the starts, that is two 1-D sweeps, O(n L)."""
+    walks on 0..L+2; bilinear in the starts, that is T^n of two start vectors
+    for the walker's matrix T, one call of ``lattice.tridiagonal_power``: O(n)
+    packed steps for short walks, O(L^2 log n) operations on n-bit numbers
+    for long ones."""
     low = [int(x in lower) for x in range(L + 3)]
     up = [int(x - 2 in upper) for x in range(L + 3)]
-    for _ in range(n):
-        low = list(map(add, [0, *low], [*low[1:], 0]))
-        up = list(map(add, [0, *up], [*up[1:], 0]))
+    low, up = lattice.tridiagonal_power([0] * (L + 3), n, [low, up])
     return sum(low[v] * up[u + 2] - low[u + 2] * up[v] for v, u in ends)
 
 
 def count_waffle_walks(L, n, start):
-    """Walks of length n in the waffle from ``start`` to the axis, O(n L) (``_walker_pairs``)."""
+    """Walks of length n in the waffle from ``start`` to the axis (``_walker_pairs``)."""
     _check_walk(L, n, start)
     i, j = start
     return _walker_pairs(L, n, [i - j], [i + j], [(e, e) for e in range(L + 1)])
@@ -334,7 +335,7 @@ def waffle_to_pyramid(z_c, start_cell, walk):
     (cell, walk) -> pyramid walk is a bijection onto the forward walks of
     that length; a walk ending off the axis is outside its domain.
     """
-    z, cell = tuple(z_c), tuple(start_cell)
+    z, cell = _pyramid_point(z_c), tuple(start_cell)
     if not _has_cell(z, cell):
         raise InvalidWalk(f"cell {cell} not in C({z})")
     try:
@@ -351,10 +352,15 @@ def pyramid_to_waffle(z_c, steps):
 
     ``lattice.unrun`` from the cell (0, 0) of the axis at the far end.
     """
+    return lattice.unrun(_pyramid_point(z_c), steps, (0, 0), diamond_delta_inv, InvalidWalk)
+
+
+def _pyramid_point(z_c):
+    """``z_c`` as a tuple, or InvalidWalk unless it has four coordinates >= 0."""
     z = tuple(z_c)
     if len(z) != 4 or min(z) < 0:
         raise InvalidWalk(f"start {z} is not a pyramid point")
-    return lattice.unrun(z, steps, (0, 0), diamond_delta_inv, InvalidWalk)
+    return z
 
 
 # -- enumeration oracles ------------------------------------------------------

@@ -8,6 +8,7 @@ from operator import add
 
 import pytest
 
+from conftest import PACKED, POWER, forced_engine
 from triwalks import lattice, motzkin, pyramid3d, verify
 from triwalks.errors import BadDirectionVector, CapExceeded, OutOfLattice, TriwalksError
 
@@ -117,6 +118,32 @@ def test_forward_counts_equal_motzkin_past_the_grid():
     assert lattice.count_paths(40, 2, lattice.origin(40), "F" * 400) == (
         motzkin.count_paths_by_amplitude(400, 40)
     )
+
+
+def test_both_transfer_engines_agree_past_4300_digits():
+    # the meander row at L = 40 and the pyramid corner count at L = 8, each
+    # by the packed sweep and by x^n mod chi
+    diag, start = [1] * 20 + [0], [[1] + [0] * 20]
+    packed = lattice._packed_sweep(diag, 9300, start)
+    assert packed[0][0] > 10**4300
+    assert lattice._power_mod_chi(diag, 9300, start) == packed
+    counts = []
+    for crossover in (PACKED, POWER):
+        with forced_engine(crossover):
+            counts.append(pyramid3d.forward_count(8, lattice.origin(8, 3), 8300))
+    assert counts[0] == counts[1] > 10**4300
+
+
+def test_transfer_kernel_edges():
+    # no step, a one-entry strip, zero and several start vectors
+    assert lattice.tridiagonal_power([1, 0], 0, [[3, 4]]) == [[3, 4]]
+    for engine in (lattice._packed_sweep, lattice._power_mod_chi):
+        assert engine([0], 5, [[2]]) == [[0]]
+        assert engine([1], 5, [[2]]) == [[2]]
+        assert engine([0, 0], 3, [[1, 0], [0, 0], [0, 1]]) == [[0, 1], [0, 0], [1, 0]]
+        assert engine([1, 1, 1], 7, []) == []
+    with pytest.raises(ValueError, match="need n >= 0, got n=-1"):
+        lattice.tridiagonal_power([1], -1, [[1]])
 
 
 def test_waffle_counts_share_the_kernel():

@@ -12,9 +12,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import brute_generic  # noqa: E402
+from conftest import PACKED, POWER, brute_generic, forced_engine  # noqa: E402
 from triwalks import cli, flips, lattice, motzkin, omega, pyramid3d  # noqa: E402
 from triwalks.errors import TriwalksError  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
@@ -300,3 +300,60 @@ def test_bicolored_image_stays_in_the_triangle_and_follows_the_coloring(case, da
     assert scaf.lookup_count - before == len(word)
     lattice.validate_path(scaf.L, 2, lattice.origin(scaf.L), image)
     assert flips.direction_vector(image) == colored.direction_vector()
+
+
+# -- the 1-D transfer kernel: both engines against the step-by-step rows ------
+
+@st.composite
+def strip_walks(draw):
+    """(L, n, i): L <= 60, n up to 3,000 or within two of the crossover, and a
+    start height i."""
+    L = draw(st.integers(0, 60))
+    edge = int(lattice._crossover([1] * (L // 2) + [L % 2]))
+    n = draw(st.one_of(st.integers(0, 3000), st.integers(edge - 2, edge + 2)))
+    return L, n, draw(st.integers(0, L // 2))
+
+
+@settings(max_examples=20)
+@given(strip_walks())
+@example((60, 3000, 17))
+@example((59, 2999, 29))
+def test_both_transfer_engines_equal_the_meander_rows(case):
+    # the first start vector gives the whole row, one entry per start height,
+    # and the second, e_i, gives entry i again, since T is symmetric
+    L, n, i = case
+    H = L // 2
+    for row in motzkin._meander_rows(L, n):
+        pass
+    diag = [1] * H + [L % 2]
+    starts = [[1] + [0] * H, [int(k == i) for k in range(H + 1)]]
+    packed = lattice._packed_sweep(diag, n, starts)
+    assert packed[0] == row and packed[1][0] == row[i]
+    assert lattice._power_mod_chi(diag, n, starts) == packed
+    assert lattice.tridiagonal_power(diag, n, starts) == packed
+    assert motzkin.meander_row(L, n) == row
+
+
+def waffle_dp(L, n, start, ends):
+    """Walks of n cardinal steps in the waffle from ``start`` to a point of
+    ``ends``, by n sweeps of the 2-D waffle graph."""
+    index, gathers = pyramid3d._waffle_graph(L)
+    counts = [int(pt in ends) for pt in index]
+    for _ in range(n):
+        counts = lattice.sweep(counts, gathers)
+    return counts[index[start]]
+
+
+@settings(max_examples=20)
+@given(data=st.data(), L=st.integers(0, 12), n=st.integers(0, 40))
+def test_walker_kernel_equals_the_pyramid_and_waffle_dps(data, L, n):
+    z = data.draw(st.sampled_from(pyramid3d.pyramid_points(L)))
+    start, end = data.draw(st.lists(st.sampled_from(pyramid3d.waffle_points(L)),
+                                    min_size=2, max_size=2))
+    axis = {(i, 0) for i in range(L + 1)}
+    want = (pyramid3d.count_pyramid_paths(L, n, z), waffle_dp(L, n, start, axis),
+            waffle_dp(L, n, start, {end}))
+    for crossover in (PACKED, POWER):
+        with forced_engine(crossover):
+            assert (pyramid3d.forward_count(L, z, n), pyramid3d.count_waffle_walks(L, n, start),
+                    pyramid3d.count_waffle_walks_to(L, n, start, end)) == want, crossover

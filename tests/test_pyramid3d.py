@@ -280,6 +280,11 @@ def test_waffle_to_pyramid_errors():
         assert str(exc.value) == f"bad letter {letter!r}"
     with pytest.raises(InvalidWalk, match="^bad letter 'X'$"):
         pyramid3d.waffle_to_pyramid((1, 1, 1, 1), (0, 0), "EX")
+    # a start of too few or too many coordinates is named, as pyramid_to_waffle names it
+    for start in ((0, 0, 0), (0, 0, 0, 0, 1), (0, -1, 0, 2)):
+        with pytest.raises(InvalidWalk) as exc:
+            pyramid3d.waffle_to_pyramid(start, (0, 0), "N")
+        assert str(exc.value) == f"start {start} is not a pyramid point"
 
 
 def test_waffle_to_pyramid_rejects_walks_ending_off_the_axis():
@@ -389,6 +394,11 @@ def test_pyramid_to_waffle_errors():
     for steps in ((0,), (5,), (1, -3), ("1",)):
         with pytest.raises(InvalidWalk, match="bad step"):
             pyramid3d.pyramid_to_waffle((0, 1, 0, 1), steps)
+    # a float or a bool equal to a step is still no step
+    for steps, bad in (((1.0,), "1.0"), ((True,), "True"), ((1, 2.0), "2.0")):
+        with pytest.raises(InvalidWalk) as exc:
+            pyramid3d.pyramid_to_waffle((0, 0, 0, 1), steps)
+        assert str(exc.value) == f"bad step {bad}: a pyramid walk takes forward steps 1-4"
     with pytest.raises(InvalidWalk, match="leaves the pyramid"):
         pyramid3d.pyramid_to_waffle((0, 0, 0, 2), (2,))
     for start in ((-1, 0, 0, 2), (0, 0, 2)):

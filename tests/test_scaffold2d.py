@@ -239,7 +239,10 @@ def test_inverse_names_the_first_bad_step(scaf):
                        ([-1], "bad step -1: a triangle walk takes forward steps 1-3"),
                        (["a"], "bad step 'a': a triangle walk takes forward steps 1-3"),
                        ([1, 1, 1, 1, 4], "walk leaves the triangle"),
-                       ([1, 0, 1, 1, 1], "bad step 0: a triangle walk takes forward steps 1-3")):
+                       ([1, 0, 1, 1, 1], "bad step 0: a triangle walk takes forward steps 1-3"),
+                       # equal to 1, but not the int step 1
+                       ((True,), "bad step True: a triangle walk takes forward steps 1-3"),
+                       ((1.0,), "bad step 1.0: a triangle walk takes forward steps 1-3")):
         with pytest.raises(OutOfLattice) as exc:
             scaf.triangular_to_motzkin(steps)
         assert str(exc.value) == why
