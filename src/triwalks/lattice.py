@@ -195,17 +195,16 @@ def sweep(counts, gathers):
 
 
 # (a, b): ``tridiagonal_power`` takes x^n mod chi for n > a + b N and the
-# packed sweep below, N the size of T, or half of it when the diagonal is 0:
-# then x^n mod chi has only every other coefficient, which halves its work.
-# Fitted to where the two engines took equal time, for N = 2..43 (the engine
-# rows of bench/micro.py in BENCH_21.json)
+# packed sweep below, N the size of T. Fitted to where the two engines took
+# equal time, for N = 2..43 (the engine rows of bench/micro.py in
+# BENCH_21.json)
 POWER_CROSSOVER = 150, 5
 
 
 def _crossover(diag):
     """The n above which ``tridiagonal_power`` takes x^n mod chi."""
     a, b = POWER_CROSSOVER
-    return a + b * (len(diag) if any(diag) else len(diag) / 2)
+    return a + b * len(diag)
 
 
 def tridiagonal_power(diag, n, vectors):
@@ -214,13 +213,19 @@ def tridiagonal_power(diag, n, vectors):
     T is the symmetric tridiagonal matrix with the 0/1 diagonal ``diag`` and
     ones beside it: one step of T sends the count at k to k - 1, k + 1 and,
     where diag[k] is 1, k itself, and drops what leaves 0..len(diag) - 1.
-    The vectors hold non-negative ints. With N = len(diag), walks of up to
+    Each vector holds len(diag) non-negative ints; any other input is a
+    ValueError. With N = len(diag), walks of up to
     ``_crossover(diag)`` steps take the packed sweep, O(n) big-int operations
     on N slots of O(n) bits; longer ones take x^n mod chi, O(log n) squarings
     and O(N^2 log n) multiply-adds of numbers of O(n) bits.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
+    if not diag or not set(diag) <= {0, 1}:
+        raise ValueError(f"need a non-empty 0/1 diagonal, got {diag!r}")
+    for v in vectors:
+        if len(v) != len(diag) or min(v) < 0:
+            raise ValueError(f"need {len(diag)} non-negative entries per vector, got {v!r}")
     if n > _crossover(diag):
         return _power_mod_chi(diag, n, vectors)
     return _packed_sweep(diag, n, vectors)
@@ -281,17 +286,9 @@ def _square(poly):
 
     Each signed coefficient gets a slot of whole bytes, wide enough for any
     product coefficient with a spare sign bit. The square's slots are read back
-    after adding half a slot to each, which makes every slot non-negative. A
-    polynomial x^e q(x^2), as x^n mod chi is when T's diagonal is 0, squares
-    as q, in half the slots.
+    after adding half a slot to each, which makes every slot non-negative.
     """
     terms = len(poly)
-    for e in (0, 1):
-        if terms > 2 and not any(poly[1 - e::2]):
-            q = _square(poly[e::2])
-            out = [0] * (2 * terms - 1)
-            out[2 * e:2 * e + 2 * len(q) - 1:2] = q
-            return out
     bits = max(abs(c) for c in poly).bit_length()
     B = (2 * bits + terms.bit_length() + 9) // 8
     pos = int.from_bytes(b"".join(c.to_bytes(B, "little") if c > 0 else bytes(B)

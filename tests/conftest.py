@@ -2,13 +2,8 @@
 
 These replicate definitions directly (recursive enumeration over raw
 tuples) so the dynamic programming and the bijections are checked against
-something that cannot share their bugs. ``forced_engine`` is the one
-helper that reaches inside: it sends the 1-D transfer kernel to one of its
-two engines, so that a test can pin each engine to the same oracle.
+something that cannot share their bugs.
 """
-
-import contextlib
-import math
 
 import pytest
 
@@ -110,22 +105,3 @@ def motzkin_by_amplitude():
             buckets.setdefault(word_amplitude(w), set()).add(w)
         table[n] = buckets
     return table
-
-
-# values of ``lattice.POWER_CROSSOVER`` that send every call of
-# ``lattice.tridiagonal_power`` to one engine
-PACKED = (math.inf, 0)
-POWER = (-1, 0)
-
-
-@contextlib.contextmanager
-def forced_engine(crossover):
-    """Run the block with ``lattice.POWER_CROSSOVER`` set to ``crossover``."""
-    from triwalks import lattice
-
-    saved = lattice.POWER_CROSSOVER
-    lattice.POWER_CROSSOVER = crossover
-    try:
-        yield
-    finally:
-        lattice.POWER_CROSSOVER = saved

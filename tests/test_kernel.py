@@ -2,13 +2,13 @@
 large sizes."""
 
 import json
+import math
 import pathlib
 import random
 from operator import add
 
 import pytest
 
-from conftest import PACKED, POWER, forced_engine
 from triwalks import lattice, motzkin, pyramid3d, verify
 from triwalks.errors import BadDirectionVector, CapExceeded, OutOfLattice, TriwalksError
 
@@ -128,8 +128,9 @@ def test_both_transfer_engines_agree_past_4300_digits():
     assert packed[0][0] > 10**4300
     assert lattice._power_mod_chi(diag, 9300, start) == packed
     counts = []
-    for crossover in (PACKED, POWER):
-        with forced_engine(crossover):
+    for crossover in ((math.inf, 0), (-1, 0)):  # the packed sweep, then x^n mod chi
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "POWER_CROSSOVER", crossover)
             counts.append(pyramid3d.forward_count(8, lattice.origin(8, 3), 8300))
     assert counts[0] == counts[1] > 10**4300
 
@@ -144,6 +145,14 @@ def test_transfer_kernel_edges():
         assert engine([1, 1, 1], 7, []) == []
     with pytest.raises(ValueError, match="need n >= 0, got n=-1"):
         lattice.tridiagonal_power([1], -1, [[1]])
+    # a diagonal entry other than 0 or 1, and a start vector with a negative
+    # entry or of the wrong length, which the packed slots cannot hold
+    for diag in ([2], [1, -1], [0.5], []):
+        with pytest.raises(ValueError, match="need a non-empty 0/1 diagonal"):
+            lattice.tridiagonal_power(diag, 1, [[1] * len(diag)])
+    for v in ([1, -1], [1], [0, 0, 1]):
+        with pytest.raises(ValueError, match="need 2 non-negative entries per vector"):
+            lattice.tridiagonal_power([1, 0], 3, [[1, 0], v])
 
 
 def test_waffle_counts_share_the_kernel():

@@ -7,6 +7,7 @@ so every run draws the same examples.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -14,7 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import PACKED, POWER, brute_generic, forced_engine  # noqa: E402
+from conftest import brute_generic  # noqa: E402
 from triwalks import cli, flips, lattice, motzkin, omega, pyramid3d  # noqa: E402
 from triwalks.errors import TriwalksError  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
@@ -353,7 +354,8 @@ def test_walker_kernel_equals_the_pyramid_and_waffle_dps(data, L, n):
     axis = {(i, 0) for i in range(L + 1)}
     want = (pyramid3d.count_pyramid_paths(L, n, z), waffle_dp(L, n, start, axis),
             waffle_dp(L, n, start, {end}))
-    for crossover in (PACKED, POWER):
-        with forced_engine(crossover):
+    for crossover in ((math.inf, 0), (-1, 0)):  # the packed sweep, then x^n mod chi
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "POWER_CROSSOVER", crossover)
             assert (pyramid3d.forward_count(L, z, n), pyramid3d.count_waffle_walks(L, n, start),
                     pyramid3d.count_waffle_walks_to(L, n, start, end)) == want, crossover
