@@ -12,8 +12,8 @@ timing, and prints the lines and then the document; on a TriwalksError or
 ValueError it prints one error document instead.
 
 Subcommands: count, enumerate, map, scaffolding, sample, profile, gf,
-pyramid, verify. Four of them name a family first, and each family's parser
-takes only the flags that its handler reads:
+pyramid, verify. Every parser is declared from one table of flags, and takes
+only the flags that its handler reads. Four subcommands name a family first:
 
 - count: motzkin, triangular, generic, bicolored, pyramid, waffle;
 - enumerate: motzkin, triangular;
@@ -60,9 +60,9 @@ def _int(flag):
 
 
 def _method(flag):
-    """A --method or --scaffolding value, checked while the command line is
-    parsed: omega, trapezium or random:<seed> with an int seed. A seed past
-    int()'s digit limit is reported as too large, without its digits."""
+    """A --method value, checked while the command line is parsed: omega,
+    trapezium or random:<seed> with an int seed. A seed past int()'s digit
+    limit is reported as too large, without its digits."""
     if flag in ("omega", "trapezium"):
         return flag
     kind, _, seed = flag.partition(":")
@@ -208,7 +208,7 @@ def cmd_enumerate_triangular(args):
 
 
 def cmd_map(args):
-    method = args.method or args.scaffolding or "trapezium"
+    method = args.method or "trapezium"
     if args.scaffolding_file:
         method = f"file:{args.scaffolding_file}"
     if args.bicolored:
@@ -221,15 +221,8 @@ def cmd_map(args):
     inputs = {"method": method, "direction": args.direction, "L": args.L,
               "input": args.input, "bicolored": args.bicolored}
     if method == "omega":
-        if args.direction == "t2m":
-            steps = lattice.parse_steps(args.input)
-            word = omega.forward_to_motzkin_exp(args.L, steps)
-            outputs = {"motzkin": word.steps, "start_height": 0}
-            human = f"motzkin word: {word.steps}"
-        else:
-            path = omega.motzkin_to_forward_exp(args.L, args.input)
-            outputs = {"path": lattice.format_steps(path)}
-            human = f"path: {lattice.format_steps(path)}"
+        to_path = functools.partial(omega.motzkin_to_forward_exp, args.L)
+        to_word = functools.partial(omega.forward_to_motzkin_exp, args.L)
     else:
         if args.scaffolding_file:
             scaf = _load_scaffolding(args.scaffolding_file)
@@ -237,22 +230,21 @@ def cmd_map(args):
                 raise UsageError(f"scaffolding file is for L={scaf.L}, not {args.L}")
         else:
             scaf = _scaffolding_from_flag(method, args.L)
-        if args.bicolored:
-            word = MotzkinWord.from_word(args.input)
-            path = scaf.bicolored_to_generic(word, method=args.bicolored)
-            outputs = {"path": lattice.format_steps(path),
-                       "direction_vector": word.direction_vector()}
-            human = f"path: {lattice.format_steps(path)}"
-        elif args.direction == "m2t":
-            path = scaf.motzkin_to_triangular(args.input)
-            outputs = {"path": lattice.format_steps(path)}
-            human = f"path: {lattice.format_steps(path)}"
-        else:
-            word = scaf.triangular_to_motzkin(lattice.parse_steps(args.input))
-            outputs = {"motzkin": word.steps, "start_height": 0,
-                       "amplitude": motzkin.amplitude(word)}
-            human = f"motzkin word: {word.steps}"
-    return {"inputs": inputs, "outputs": outputs}, [human]
+        to_path, to_word = scaf.motzkin_to_triangular, scaf.triangular_to_motzkin
+    if args.direction == "t2m":
+        word = to_word(lattice.parse_steps(args.input))
+        outputs = {"motzkin": word.steps, "start_height": 0}
+        if method != "omega":
+            outputs["amplitude"] = motzkin.amplitude(word)
+        return {"inputs": inputs, "outputs": outputs}, [f"motzkin word: {word.steps}"]
+    if args.bicolored:
+        word = MotzkinWord.from_word(args.input)
+        path = lattice.format_steps(scaf.bicolored_to_generic(word, method=args.bicolored))
+        outputs = {"path": path, "direction_vector": word.direction_vector()}
+    else:
+        path = lattice.format_steps(to_path(args.input))
+        outputs = {"path": path}
+    return {"inputs": inputs, "outputs": outputs}, [f"path: {path}"]
 
 
 def cmd_sample_motzkin(args):
@@ -322,6 +314,12 @@ def cmd_scaffolding(args):
 
 def cmd_verify(args):
     if args.scaffolding_file:
+        # the file takes the place of the suites and their grid
+        for flag, given in (("--suite", args.suite != "all"), ("--max-L", args.max_L is not None),
+                            ("--max-n", args.max_n is not None)):
+            if given:
+                raise UsageError(f"triwalks verify: argument --scaffolding-file: not allowed "
+                                 f"with argument {flag}")
         scaf = _load_scaffolding(args.scaffolding_file)
         rep = scaffold2d.validate_scaffolding(scaf)
         state = "valid" if rep.ok else f"INVALID ({len(rep.violations)} violations)"
@@ -356,16 +354,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# the options of each flag that a family reads; a family's parser takes these
-# flags of its handler and no others
+# the options of each flag that a command reads; a command's parser takes
+# these flags of its handler and no others
 FLAGS = {
     "--n": {"type": _int, "default": 0},
     "--amplitude": {"type": _int, "default": 0},
     "--start-height": {"type": _int, "default": 0},
     "--L": {"type": _int, "default": 0},
     "--d": {"type": _int, "default": 2},
-    "--dv": {"default": None},
-    "--start": {"default": None},
+    "--dv": {},
+    "--start": {},
     "--p": {"type": _int, "default": 0},
     "--q": {"type": _int, "default": 0},
     "--orientation": {"choices": ["F", "B"], "default": "F"},
@@ -374,6 +372,14 @@ FLAGS = {
     "--terms": {"type": _int, "default": 10},
     "--cell": {"default": "0,0"},
     "--walk": {"default": ""},
+    "--point": {},
+    "--out": {"help": f"output file (default under ${OUTPUT_DIR_ENV} or .)"},
+    "--direction": {"choices": ["m2t", "t2m"], "default": "m2t"},
+    "--bicolored": {"choices": ["one", "two"],
+                    "help": "map a bicolored word (m2t) by a scaffolding"},
+    "--suite": {"default": "all", "choices": ["all"] + sorted(verify.SUITES)},
+    "--max-L": {"type": _int},
+    "--max-n": {"type": _int},
 }
 
 
@@ -382,13 +388,15 @@ def _families(sub, cmd, help, dest="family"):
     return sub.add_parser(cmd, help=help).add_subparsers(dest=dest, required=True)
 
 
-def _family(families, name, fn, flags, required=(), **defaults):
-    """The parser of one family: the FLAGS its handler ``fn`` reads, with those
-    in ``required`` required and ``defaults`` replacing theirs."""
-    p = families.add_parser(name)
+def _family(parent, name, fn, flags, required=(), help=None, **defaults):
+    """The parser of one command or family under ``parent``: the FLAGS its
+    handler ``fn`` reads, with those in ``required`` required and ``defaults``
+    replacing theirs, listed in the parent's help with ``help`` if given."""
+    p = parent.add_parser(name, **({"help": help} if help else {}))
     for flag in flags.split():
         p.add_argument(flag, required=flag in required, **FLAGS[flag])
     p.set_defaults(fn=fn, **defaults)
+    return p
 
 
 @functools.cache
@@ -408,55 +416,34 @@ def build_parser():
     _family(enum, "motzkin", cmd_enumerate_motzkin, "--n --amplitude --start-height --cap")
     _family(enum, "triangular", cmd_enumerate_triangular, "--L --d --dv --start --cap", dv="")
 
-    m = sub.add_parser("map", help="apply one of the bijections")
+    m = _family(sub, "map", cmd_map, "--L --direction --bicolored", ("--L",),
+                help="apply one of the bijections")
     m.add_argument("input", help="a walk 's1 s2 ...' or a Motzkin word 'UFD...'")
-    m.add_argument("--L", type=_int, required=True)
-    # one source of the bijection: a method, its alias, or a saved file
+    # one source of the bijection: a method or a saved file
     source = m.add_mutually_exclusive_group()
-    source.add_argument("--method", type=_method, default=None,
-                        help="omega | trapezium | random:<seed>")
-    source.add_argument("--scaffolding", type=_method, default=None,
-                        help="trapezium | random:<seed> (alias of --method)")
-    source.add_argument("--scaffolding-file", default=None, dest="scaffolding_file",
-                        help="replay a saved scaffolding bit for bit")
-    m.add_argument("--direction", choices=["m2t", "t2m"], default="m2t")
-    m.add_argument("--bicolored", choices=["one", "two"], default=None,
-                   help="map a bicolored word (m2t) by a scaffolding")
-    m.set_defaults(fn=cmd_map)
+    source.add_argument("--method", type=_method, help="omega | trapezium | random:<seed>")
+    source.add_argument("--scaffolding-file", help="replay a saved scaffolding bit for bit")
 
-    sc = sub.add_parser("scaffolding", help="build and save a random scaffolding")
-    sc.add_argument("--L", type=_int, required=True)
-    sc.add_argument("--seed", type=_int, required=True)
-    sc.add_argument("--out", default=None,
-                    help=f"output file (default under ${OUTPUT_DIR_ENV} or .)")
-    sc.set_defaults(fn=cmd_scaffolding)
+    _family(sub, "scaffolding", cmd_scaffolding, "--L --seed --out", ("--L", "--seed"),
+            help="build and save a random scaffolding")
 
     sample = _families(sub, "sample", "uniform random walk or word")
     _family(sample, "motzkin", cmd_sample_motzkin, "--n --amplitude --seed", ("--n", "--seed"))
     _family(sample, "forward", cmd_sample_forward, "--L --n --seed", ("--n", "--seed"))
 
-    p = sub.add_parser("profile", help="profile and cells of a triangle point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_profile)
-
-    g = sub.add_parser("gf", help="pyramid generating function coefficients")
-    g.add_argument("--L", type=_int, required=True)
-    g.add_argument("--terms", type=_int, default=10)
-    g.set_defaults(fn=cmd_gf)
+    _family(sub, "profile", cmd_profile, "--point", ("--point",),
+            help="profile and cells of a triangle point")
+    _family(sub, "gf", cmd_gf, "--L --terms", ("--L",),
+            help="pyramid generating function coefficients")
 
     pyramid = _families(sub, "pyramid", "three-dimensional walks", dest="action")
     _family(pyramid, "count", cmd_pyramid_count, "--L --n", ("--L",))
     _family(pyramid, "map", cmd_pyramid_map, "--L --cell --walk", ("--L",))
     _family(pyramid, "gf", cmd_gf, "--L --terms", ("--L",))
 
-    v = sub.add_parser("verify", help="run the exhaustive check suites")
-    v.add_argument("--suite", default="all",
-                   choices=["all"] + sorted(verify.SUITES))
-    v.add_argument("--max-L", type=_int, default=None, dest="max_L")
-    v.add_argument("--max-n", type=_int, default=None, dest="max_n")
-    v.add_argument("--scaffolding-file", default=None, dest="scaffolding_file",
-                   help="validate a saved scaffolding instead")
-    v.set_defaults(fn=cmd_verify)
+    v = _family(sub, "verify", cmd_verify, "--suite --max-L --max-n",
+                help="run the exhaustive check suites")
+    v.add_argument("--scaffolding-file", help="validate a saved scaffolding instead")
 
     return ap
 

@@ -123,11 +123,19 @@ def forward_neighbours(z):
     return {j: move(z, j) for j in range(1, len(z) + 1)}
 
 
+def check_start(L, d, start):
+    """``start`` as a tuple, or OutOfLattice(0) unless it is a point of the
+    lattice of side L in dimension d: d + 1 coordinates, none negative,
+    summing to L."""
+    z = tuple(start)
+    if len(z) != d + 1 or sum(z) != L or min(z) < 0:
+        raise OutOfLattice(f"start {z} not in the lattice of side {L}, d={d}", prefix_len=0)
+    return z
+
+
 def validate_path(L, d, start, steps):
     """All n+1 visited points, or OutOfLattice(k) for the first bad prefix."""
-    if sum(start) != L or min(start) < 0 or len(start) != d + 1:
-        raise OutOfLattice(f"start {start} not in the lattice of side {L}", prefix_len=0)
-    pts = [tuple(start)]
+    pts = [check_start(L, d, start)]
     for k, step in enumerate(steps, start=1):
         p = move(pts[-1], step)
         if min(p) < 0:
@@ -229,6 +237,12 @@ def tridiagonal_power(diag, n, vectors):
     if n > _crossover(diag):
         return _power_mod_chi(diag, n, vectors)
     return _packed_sweep(diag, n, vectors)
+
+
+def _tridiagonal_step(diag, v):
+    """T v, as a list, for the T of ``tridiagonal_power``: the entry at k is
+    the sum of those at k - 1 and k + 1, plus its own where diag[k] is 1."""
+    return [(e if a else 0) + b + c for a, e, b, c in zip(diag, v, [0, *v], [*v[1:], 0])]
 
 
 def _packed_sweep(diag, n, vectors):
@@ -340,7 +354,7 @@ def _power_mod_chi(diag, n, vectors):
             for i, e in enumerate(w):
                 if e:
                     total[i] += rk * e
-            w = [a * e + b + c for a, e, b, c in zip(diag, w, [0, *w], [*w[1:], 0])]
+            w = _tridiagonal_step(diag, w)
         out.append(total)
     return out
 
@@ -449,9 +463,7 @@ def enumerate_paths(L, d, start, dv, cap=DEFAULT_CAP):
     with ``move`` and a bounds check and never reads the counting graph;
     guarded by ``cap``.
     """
-    start = tuple(start)
-    if len(start) != d + 1 or sum(start) != L or min(start) < 0:
-        raise OutOfLattice(f"start {start} not in the lattice of side {L}, d={d}")
+    start = check_start(L, d, start)
     check_dv(dv)
     families = {"F": range(1, d + 2), "B": range(-1, -d - 2, -1)}
 

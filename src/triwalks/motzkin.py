@@ -126,14 +126,11 @@ def fits_amplitude(word, L):
     return True
 
 
-def _next_meander_row(prev, L):
-    """Row m of the meander table from row m - 1, by the first-step recurrence.
-
-    From height i a meander steps to i + 1 (i < H), to i (i < H, or L odd)
-    or to i - 1 (i > 0).
-    """
-    flat = prev if L % 2 == 1 else prev[:-1] + [0]
-    return [u + f + d for u, f, d in zip(prev[1:] + [0], flat, [0] + prev[:-1])]
+def _strip(L):
+    """The diagonal of the transfer matrix T on heights 0..H, H = floor(L/2):
+    from height i a meander steps to i + 1 (i < H), to i - 1 (i > 0), and
+    flat at every height but the top of an even L."""
+    return [1] * (L // 2) + [L % 2]
 
 
 def _check_sizes(n, L):
@@ -142,14 +139,16 @@ def _check_sizes(n, L):
 
 
 def _meander_rows(L, n):
-    """Rows 0..n of the meander table, one at a time, by ``_next_meander_row``:
-    for the readers of every row, ``meander_count_table`` and ``uniform_sample``.
-    ``meander_row`` reads the last row alone from ``lattice.tridiagonal_power``."""
+    """Rows 0..n of the meander table, one at a time, by one step of T per
+    row (the first-step recurrence): for the readers of every row,
+    ``meander_count_table`` and ``uniform_sample``. ``meander_row`` reads the
+    last row alone from ``lattice.tridiagonal_power``."""
     _check_sizes(n, L)
+    diag = _strip(L)
     row = [1] + [0] * (L // 2)
     yield row
     for _ in range(n):
-        row = _next_meander_row(row, L)
+        row = lattice._tridiagonal_step(diag, row)
         yield row
 
 
@@ -170,8 +169,7 @@ def meander_row(L, n):
     for short walks and O(H^2 log n) operations on n-bit numbers for long ones.
     """
     _check_sizes(n, L)
-    H = L // 2
-    return lattice.tridiagonal_power([1] * H + [L % 2], n, [[1] + [0] * H])[0]
+    return lattice.tridiagonal_power(_strip(L), n, [[1] + [0] * (L // 2)])[0]
 
 
 def count_meanders(L, n, i):

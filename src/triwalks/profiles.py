@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import OutOfLattice
-from .lattice import all_points, count_table, move
+from .lattice import all_points, check_start, count_table, move
 from .motzkin import meander_count_table, meander_row
 
 
@@ -68,9 +67,7 @@ def forward_count(L, start, n):
     direction vector of length n. It costs one ``meander_row``, one call of
     ``lattice.tridiagonal_power``; ``lattice.count_paths`` is its oracle.
     """
-    z = tuple(start)
-    if len(z) != 3 or sum(z) != L or min(z) < 0:
-        raise OutOfLattice(f"start {z} not in the lattice of side {L}, d=2")
+    z = check_start(L, 2, start)
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     return sum(map(mul, profile(z), meander_row(L, n)))

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from . import lattice
-from .errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
+from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
 from .profiles import CheckResult
 
 CARDINAL = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
@@ -80,9 +80,7 @@ def forward_count(L, z, n):
     (step 2): one call sums them, one call of ``lattice.tridiagonal_power``.
     ``count_pyramid_paths`` is its oracle.
     """
-    z = tuple(z)
-    if len(z) != 4 or sum(z) != L or min(z) < 0:  # by bounds: no pyramid graph is built
-        raise OutOfLattice(f"start {z} not in the lattice of side {L}, d=3")
+    z = lattice.check_start(L, 3, z)  # by bounds: no pyramid graph is built
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     x1, x2, x3, x4 = z

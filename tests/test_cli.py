@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import math
@@ -78,7 +79,7 @@ def test_map_spec_example(capsys):
 
 def test_map_random_and_omega(capsys):
     code, _, doc = run(
-        capsys, "map", "--scaffolding", "random:5", "--direction", "m2t", "--L", "4",
+        capsys, "map", "--method", "random:5", "--direction", "m2t", "--L", "4",
         "UFDF",
     )
     assert code == 0
@@ -366,16 +367,20 @@ def test_counts_past_the_digit_limit_of_str(capsys):
     # CPython's str() and int() refuse more than 4,300 digits; each count here
     # has more, and is checked against a second route to the same number
     limit = sys.get_int_max_str_digits()
+    assert 9200 > lattice._crossover(motzkin._strip(40))  # so x^n mod chi counts it
     triangular = _count(capsys, "count triangular --L 40 --n 9200")
     assert triangular > 10**4300
-    # Mortimer-Prellberg: walks from the corner are the bounded Motzkin paths
-    assert triangular == _count(capsys, "count motzkin --n 9200 --amplitude 40")
+    # Mortimer-Prellberg: walks from the corner are the bounded Motzkin paths,
+    # counted here by the kernel's other engine, the packed sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "POWER_CROSSOVER", (math.inf, 0))
+        assert triangular == _count(capsys, "count motzkin --n 9200 --amplitude 40")
     # each of the 2^n direction vectors counts like the forward one
     assert _count(capsys, "count generic --L 40 --n 9200") == triangular << 9200
     bicolored = _count(capsys, "count bicolored --L 4 --p 4000 --q 4000")
     assert bicolored > 10**5000
-    motzkin = _count(capsys, "count motzkin --n 8000 --amplitude 4")
-    assert bicolored == math.comb(8000, 4000) * motzkin
+    paths = _count(capsys, "count motzkin --n 8000 --amplitude 4")
+    assert bicolored == math.comb(8000, 4000) * paths
     assert sys.get_int_max_str_digits() == limit  # the process limit is left alone
 
 
@@ -428,7 +433,7 @@ UNSHOWN_ARGVS = [
     "count triangular --d 4 --L 2 --dv FBF",
     "enumerate motzkin --n 3 --amplitude 2",
     "map --method omega --direction t2m --L 3 's1 s1 s2 s3'",
-    "map --scaffolding random:5 --direction t2m --L 4 's1 s1 s2'",
+    "map --method random:5 --direction t2m --L 4 's1 s1 s2'",
     "map --scaffolding-file scaf.json --direction t2m --L 4 's1 s2'",
     "map --method trapezium --bicolored one --L 3 UfD",
     "sample motzkin --n 4 --amplitude 3 --seed 1",
@@ -582,7 +587,7 @@ def test_scaffolding_file_round_trip(tmp_path, capsys, monkeypatch):
     # replay bit for bit
     _, _, a = run(capsys, "map", "--scaffolding-file", path, "--direction", "m2t",
                   "--L", "4", "UFDF")
-    _, _, b = run(capsys, "map", "--scaffolding", "random:11", "--direction", "m2t",
+    _, _, b = run(capsys, "map", "--method", "random:11", "--direction", "m2t",
                   "--L", "4", "UFDF")
     assert a["outputs"] == b["outputs"]
     # the saved file validates
@@ -722,21 +727,24 @@ def test_both_gf_commands_share_one_handler(capsys):
     assert a["inputs"] == b["inputs"] and a["outputs"] == b["outputs"]
 
 
-# map flags that ask for two different bijections, and the two flags each
-# error must name
-CONFLICTING_MAP_FLAGS = {
+# flags that ask for two different bijections, or for a file check and a
+# suite grid, and the two flags each error must name
+CONFLICTING_FLAGS = {
     "map --method omega --scaffolding-file f.json --L 3 UD": ("--method", "--scaffolding-file"),
-    "map --method trapezium --scaffolding random:3 --L 3 UD": ("--method", "--scaffolding"),
-    "map --scaffolding random:3 --scaffolding-file f.json --L 3 UD":
-        ("--scaffolding", "--scaffolding-file"),
+    "map --method random:3 --scaffolding-file f.json --L 3 UD":
+        ("--method", "--scaffolding-file"),
     "map --method omega --bicolored one --L 3 UD": ("--method", "--bicolored"),
     "map --method trapezium --bicolored two --direction t2m --L 3 UfD":
         ("--direction", "--bicolored"),
+    "verify --scaffolding-file f.json --suite omega --max-L 2":
+        ("--scaffolding-file", "--suite"),
+    "verify --scaffolding-file f.json --max-L 2": ("--scaffolding-file", "--max-L"),
+    "verify --scaffolding-file f.json --max-n 0": ("--scaffolding-file", "--max-n"),
 }
 
 
-# the flags each family reads: its parser takes these and no others
-FAMILY_FLAGS = {
+# the flags each command or family reads: its parser takes these and no others
+COMMAND_FLAGS = {
     "count motzkin": {"--n", "--amplitude", "--start-height"},
     "count triangular": {"--L", "--d", "--n", "--dv", "--start"},
     "count generic": {"--L", "--d", "--n", "--start"},
@@ -750,10 +758,15 @@ FAMILY_FLAGS = {
     "pyramid count": {"--L", "--n"},
     "pyramid gf": {"--L", "--terms"},
     "pyramid map": {"--L", "--cell", "--walk"},
+    "map": {"--L", "--method", "--scaffolding-file", "--direction", "--bicolored"},
+    "scaffolding": {"--L", "--seed", "--out"},
+    "profile": {"--point"},
+    "gf": {"--L", "--terms"},
+    "verify": {"--suite", "--max-L", "--max-n", "--scaffolding-file"},
 }
 
-# command lines that pass one flag their family does not read, and that flag;
-# at least one for each family
+# command lines that pass one flag their command or family does not read, and
+# that flag; at least one for each command and family
 UNREAD_FLAGS = {
     "count motzkin --n 3 --amplitude 1 --p -1": "--p",
     "enumerate triangular --L 2 --n -2": "--n",
@@ -772,6 +785,15 @@ UNREAD_FLAGS = {
     "pyramid count --L 3 --n 4 --terms 5": "--terms",
     "pyramid gf --L 3 --n 4": "--n",
     "pyramid map --L 2 --walk EW --n 2": "--n",
+    "map --L 3 --point 0,0,3 UD": "--point",
+    "scaffolding --L 2 --seed 1 --terms 3": "--terms",
+    "profile --point 0,0,3 --L 3": "--L",
+    "gf --L 3 --n 2": "--n",
+    "verify --max-L 2 --d 2": "--d",
+    # no command reads --scaffolding: --method is the one spelling
+    "map --scaffolding random: --L 3 UD": "--scaffolding",
+    "map --method trapezium --scaffolding random:3 --L 3 UD": "--scaffolding",
+    "map --scaffolding random:3 --scaffolding-file f.json --L 3 UD": "--scaffolding",
 }
 
 
@@ -779,8 +801,8 @@ UNREAD_FLAGS = {
     "argv",
     ["count --n x", "", "frobnicate", "enumerate waffle",
      "count triangular --L 3 --n 2 --dv FFF", "count triangular --L 3 --n 3 --dv F",
-     "map --method random:x --L 3 UD", "map --scaffolding random: --L 3 UD",
-     "map --method bogus --L 3 UD", *CONFLICTING_MAP_FLAGS, *UNREAD_FLAGS],
+     "map --method random:x --L 3 UD", "map --method random: --L 3 UD",
+     "map --method bogus --L 3 UD", *CONFLICTING_FLAGS, *UNREAD_FLAGS],
     ids=repr,
 )
 def test_bad_command_lines_are_one_error_document(capsys, argv):
@@ -789,21 +811,31 @@ def test_bad_command_lines_are_one_error_document(capsys, argv):
     assert code == 2 and len(out) == 1
     doc = json.loads(out[0])
     assert doc["ok"] is False and doc["error"].startswith("triwalks")
-    for flag in CONFLICTING_MAP_FLAGS.get(argv, ()):
+    for flag in CONFLICTING_FLAGS.get(argv, ()):
         assert f"argument {flag}" in doc["error"]
     if argv in UNREAD_FLAGS:
         assert f"unrecognized arguments: {UNREAD_FLAGS[argv]} " in doc["error"]
 
 
+def _commands(parser, prefix=()):
+    """The command lines that name one handler: each command, or each family
+    of a command that has families."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [c for name, p in subs[0].choices.items() for c in _commands(p, (*prefix, name))]
+
+
 def test_help_is_not_an_error(capsys):
     assert cli.main(["--help"]) == 0
     assert '"ok"' not in capsys.readouterr().out
-    # each family's help lists the flags that family reads, and no others
-    for family, flags in FAMILY_FLAGS.items():
-        assert cli.main([*family.split(), "--help"]) == 0
+    # each command's or family's help lists the flags it reads, and no others
+    assert sorted(_commands(cli.build_parser())) == sorted(COMMAND_FLAGS)
+    for command, flags in COMMAND_FLAGS.items():
+        assert cli.main([*command.split(), "--help"]) == 0
         out = capsys.readouterr().out
-        assert '"ok"' not in out and f"usage: triwalks {family} " in out
-        assert set(re.findall(r"--[\w-]+", out)) == flags | {"--help"}, family
+        assert '"ok"' not in out and f"usage: triwalks {command} " in out
+        assert set(re.findall(r"--[\w-]+", out)) == flags | {"--help"}, command
 
 
 def _perfbench_module(name):
@@ -887,21 +919,12 @@ def _fuzz_strategies():
         "--point": point | junk, "--scaffolding-file": files,
         "--direction": st.sampled_from(["m2t", "t2m"]),
         "--bicolored": st.sampled_from(["one", "two"]),
+        # no command reads --scaffolding: it is drawn only as an unread flag
         **dict.fromkeys(["--method", "--scaffolding"], st.sampled_from(
             ["omega", "trapezium", "random:3", "random:-1", "random:x", "random:", "bogus"])),
         "--out": st.sampled_from(["{dir}/out.json", "{dir}/missing/x.json"]),
         "--max-L": st.integers(-2, 2).map(str), "--max-n": st.integers(-2, 2).map(str),
         "--suite": st.sampled_from(["counts", "flips", "omega", "profiles", "pyramid"]),
-    }
-    # the flags each family, or each command without families, reads
-    reads = {
-        **FAMILY_FLAGS,
-        "map": {"--L", "--method", "--scaffolding", "--scaffolding-file", "--direction",
-                "--bicolored"},
-        "scaffolding": {"--L", "--seed", "--out"},
-        "profile": {"--point"},
-        "gf": {"--L", "--terms"},
-        "verify": {"--suite", "--max-L", "--max-n", "--scaffolding-file"},
     }
     # always given: the required flags, a small verify grid, and a file under
     # the test's directory. The all and scaffold suites draw samples at fixed
@@ -916,16 +939,16 @@ def _fuzz_strategies():
     @st.composite
     def argvs(draw):
         """An argv, and the flag it passes that its family does not read, or None."""
-        key = draw(st.sampled_from(sorted(reads)))
+        key = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
         argv = key.split()
         if key == "map":
             argv.append(draw(st.text("UFDufdX", max_size=8) | steps))
-        for flag in sorted(reads[key]):
+        for flag in sorted(COMMAND_FLAGS[key]):
             if flag in always.get(key, ()) or draw(st.booleans()):
                 argv += [flag, draw(values[flag])]
         unread = None
         if draw(st.integers(0, 4)) == 0:
-            unread = draw(st.sampled_from(sorted(values.keys() - reads[key])))
+            unread = draw(st.sampled_from(sorted(values.keys() - COMMAND_FLAGS[key])))
             argv += [unread, draw(values[unread])]
         return argv, unread
 
