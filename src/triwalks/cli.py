@@ -36,7 +36,7 @@ import sys
 import time
 
 from . import __version__, lattice, motzkin, omega, profiles, pyramid3d, scaffold2d, verify
-from .errors import OutOfLattice, TriwalksError, UsageError
+from .errors import TriwalksError, UsageError
 from .motzkin import MotzkinWord
 
 # default directory for files written by the cli (scaffoldings, reports)
@@ -263,8 +263,7 @@ def cmd_sample_forward(args):
 def cmd_profile(args):
     z = lattice.parse_point(args.point)
     L = sum(z)
-    if len(z) != 3 or min(z) < 0:
-        raise OutOfLattice(f"point {z} not in the lattice of side {L}, d=2")
+    lattice.check_start(L, 2, z)
     prof = profiles.profile(z)
     cells = profiles.cell_representation(z)
     outputs = {"profile": list(prof), "cells": [list(c) for c in cells]}
@@ -383,15 +382,11 @@ FLAGS = {
 }
 
 
-def _families(sub, cmd, help, dest="family"):
-    """The subparsers of ``cmd``, one per family, named by its first argument."""
-    return sub.add_parser(cmd, help=help).add_subparsers(dest=dest, required=True)
-
-
 def _family(parent, name, fn, flags, required=(), help=None, **defaults):
     """The parser of one command or family under ``parent``: the FLAGS its
     handler ``fn`` reads, with those in ``required`` required and ``defaults``
-    replacing theirs, listed in the parent's help with ``help`` if given."""
+    replacing theirs, listed in the parent's help with ``help`` if given. A
+    command with families has fn None and no flags; each family's fn wins."""
     p = parent.add_parser(name, **({"help": help} if help else {}))
     for flag in flags.split():
         p.add_argument(flag, required=flag in required, **FLAGS[flag])
@@ -404,7 +399,8 @@ def build_parser():
     ap = _Parser(prog="triwalks", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    count = _families(sub, "count", "exact counts of walks and words")
+    count = _family(sub, "count", None, "", help="exact counts of walks and words").add_subparsers(
+        dest="family", required=True)
     _family(count, "motzkin", cmd_count_motzkin, "--n --amplitude --start-height")
     _family(count, "triangular", cmd_count_triangular, "--L --d --n --dv --start")
     _family(count, "generic", cmd_count_generic, "--L --d --n --start")
@@ -412,7 +408,8 @@ def build_parser():
     _family(count, "pyramid", cmd_count_pyramid, "--L --n --start --orientation")
     _family(count, "waffle", cmd_count_waffle, "--L --n --start")
 
-    enum = _families(sub, "enumerate", "list walks or words (capped)")
+    enum = _family(sub, "enumerate", None, "", help="list walks or words (capped)").add_subparsers(
+        dest="family", required=True)
     _family(enum, "motzkin", cmd_enumerate_motzkin, "--n --amplitude --start-height --cap")
     _family(enum, "triangular", cmd_enumerate_triangular, "--L --d --dv --start --cap", dv="")
 
@@ -427,7 +424,8 @@ def build_parser():
     _family(sub, "scaffolding", cmd_scaffolding, "--L --seed --out", ("--L", "--seed"),
             help="build and save a random scaffolding")
 
-    sample = _families(sub, "sample", "uniform random walk or word")
+    sample = _family(sub, "sample", None, "", help="uniform random walk or word").add_subparsers(
+        dest="family", required=True)
     _family(sample, "motzkin", cmd_sample_motzkin, "--n --amplitude --seed", ("--n", "--seed"))
     _family(sample, "forward", cmd_sample_forward, "--L --n --seed", ("--n", "--seed"))
 
@@ -436,7 +434,8 @@ def build_parser():
     _family(sub, "gf", cmd_gf, "--L --terms", ("--L",),
             help="pyramid generating function coefficients")
 
-    pyramid = _families(sub, "pyramid", "three-dimensional walks", dest="action")
+    pyramid = _family(sub, "pyramid", None, "", help="three-dimensional walks").add_subparsers(
+        dest="action", required=True)
     _family(pyramid, "count", cmd_pyramid_count, "--L --n", ("--L",))
     _family(pyramid, "map", cmd_pyramid_map, "--L --cell --walk", ("--L",))
     _family(pyramid, "gf", cmd_gf, "--L --terms", ("--L",))

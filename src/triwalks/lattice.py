@@ -95,16 +95,13 @@ def run(z, state, letters, lookup):
     return tuple(steps), z, state
 
 
-def unrun(z, steps, state, inverse, error):
-    """Undo ``run`` on the walk ``steps`` from ``z`` that ended in ``state``.
-    Returns (start state, the letters as one string). A checking pass keeps
-    the point before each step and raises ``error``, the family's exception
-    type, at the first step that is not forward or leaves the lattice. A
-    forward step is an int (not a bool or a float that equals one) in
-    1..len(z). Then, from the far end, one ``inverse(z, step, state) ->
-    (state, letter)`` each."""
+def check_forward(z, steps, error):
+    """The point before each step of the walk ``steps`` from ``z``, or
+    ``error``, the family's exception type, at the first step that is not
+    forward or leaves the lattice. A forward step is an int (not a bool or a
+    float that equals one) in 1..len(z)."""
     shape = {3: "triangle", 4: "pyramid"}.get(len(z), "lattice")
-    before, letters = [], []
+    before = []
     for s in steps:
         if type(s) is not int or not 0 < s <= len(z):
             raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{len(z)}")
@@ -112,6 +109,14 @@ def unrun(z, steps, state, inverse, error):
         z = move(z, s)
         if min(z) < 0:
             raise error(f"walk leaves the {shape}")
+    return before
+
+
+def unrun(z, steps, state, inverse, error):
+    """Undo ``run`` on the walk ``steps`` from ``z`` that ended in ``state``:
+    (start state, the letters as one string). After ``check_forward``, one
+    ``inverse(z, step, state) -> (state, letter)`` per step from the far end."""
+    before, letters = check_forward(z, steps, error), []
     for z, s in zip(reversed(before), reversed(steps)):
         state, letter = inverse(z, s, state)
         letters.append(letter)

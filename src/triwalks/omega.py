@@ -28,10 +28,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import HeightOutOfRange, NotInImage, TooLong
+from .errors import HeightOutOfRange, NotInImage, OutOfLattice, TooLong
 from .flips import transform
 from .motzkin import _HEIGHT_MOVE, MotzkinWord, fits_amplitude
-from .lattice import validate_path
+from .lattice import check_forward, origin, validate_path
 
 S1, S2, SB1, SB3 = 1, 2, -1, -3
 
@@ -161,8 +161,10 @@ def _too_long(n):
 
 
 def forward_to_motzkin_exp(L, steps, stats=None):
-    """The k = 0 case: forward walks from the origin to bounded Motzkin paths."""
+    """The k = 0 case: forward walks from the origin to bounded Motzkin paths.
+    The walk is checked here, as a scaffolding's inverse checks it."""
     steps = tuple(steps)
+    check_forward(origin(L), steps, OutOfLattice)
     try:
         img = omega(L, 0, steps, stats)
     except RecursionError:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .lattice import all_points, check_start, count_table, move
+from .errors import NotAllowed
+from .lattice import all_points, check_start, count_table, forward_neighbours, move
 from .motzkin import meander_count_table, meander_row
 
 
@@ -48,13 +49,9 @@ def point_polynomial(z):
     return out
 
 
-def profile(z, L=None):
+def profile(z):
     """The vector (p_0, ..., p_H) of the point z."""
-    if L is None:
-        L = sum(z)
-    elif sum(z) != L:
-        raise ValueError(f"{z} does not lie at level {L}")
-    H = L // 2
+    H = sum(z) // 2
     poly = point_polynomial(z)
     return tuple(poly[: H + 1])
 
@@ -139,6 +136,44 @@ class CheckResult:
         if self.violations:
             doc["counterexample"] = repr(self.counterexample)
         return doc
+
+
+def certify(name, L, d, cells, letters, delta, delta_inv, rule):
+    """Certify a scaffolding at every point z of the lattice of side L in
+    dimension d: ``delta`` must send each (cell, letter) of A(z), the cells(z)
+    with their letters(z, cell), to its own target (j, c'), c' in cells(z + s_j),
+    where ``rule(z, cell, letter, j, c')`` holds and ``delta_inv`` gives it
+    back, and must reach every target. A NotAllowed lookup is a domain hole."""
+    rep = CheckResult(name)
+    for z in all_points(L, d):
+        targets = {(j, c) for j, w in forward_neighbours(z).items() if min(w) >= 0
+                   for c in cells(w)}
+        seen = {}
+        for cell in cells(z):
+            for s in letters(z, cell):
+                rep.checked += 1
+                try:
+                    j, cell2 = delta(z, cell, s)
+                except NotAllowed:
+                    rep.violations.append((z, cell, s, "domain hole"))
+                    continue
+                if not rule(z, cell, s, j, cell2):
+                    rep.violations.append((z, cell, s, "rule"))
+                if (j, cell2) not in targets:
+                    rep.violations.append((z, cell, s, f"target {(j, cell2)} missing"))
+                elif (j, cell2) in seen:
+                    rep.violations.append((z, cell, s, f"collides with {seen[(j, cell2)]}"))
+                else:
+                    seen[(j, cell2)] = (cell, s)
+                try:
+                    back = delta_inv(z, j, cell2)
+                except NotAllowed:
+                    back = None
+                if back != (cell, s):
+                    rep.violations.append((z, cell, s, "inverse"))
+        if len(seen) != len(targets):
+            rep.violations.append((z, "unreached targets", sorted(targets - set(seen))[:3]))
+    return rep
 
 
 def check_profile_identities(L):

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
-from .profiles import CheckResult
+from .profiles import certify
 
 CARDINAL = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 CARDINAL_ORDER = ("N", "E", "S", "W")
@@ -292,37 +292,17 @@ def diamond_delta_inv(z, j, cell):
 
 
 def validate_scaffolding3d(L):
-    """Pointwise certificate: bijectivity and anchor tracking everywhere.
+    """Pointwise certificate by ``profiles.certify``: domain, bijectivity onto
+    the ``profile3d`` cells of the neighbours, the inverse and the anchors."""
+    return certify(f"3d scaffolding valid, L={L}", L, 3, profile3d,
+                   lambda z, cell: allowed_cardinal(z, cell, L), diamond_delta,
+                   diamond_delta_inv, _tracks_anchor)
 
-    At every point and every allowed (cell, step), the closed form must move
-    the anchor by the step, hit no (j, cell) twice, and be undone by
-    ``diamond_delta_inv``; the images at z must be exactly the cells of the
-    neighbours z + s_j inside the pyramid, listed here from ``profile3d``.
-    """
-    rep = CheckResult(f"3d scaffolding valid, L={L}")
-    for z in pyramid_points(L):
-        targets = set()
-        for j, w in lattice.forward_neighbours(z).items():
-            if min(w) >= 0:
-                targets.update((j, c) for c in profile3d(w))
-        seen = set()
-        for cell in profile3d(z):
-            for s in allowed_cardinal(z, cell, L):
-                rep.checked += 1
-                j, cell2 = diamond_delta(z, cell, s)
-                w = lattice.move(z, j)
-                a = anchor(z, cell)
-                d = CARDINAL[s]
-                if anchor(w, cell2) != (a[0] + d[0], a[1] + d[1]):
-                    rep.violations.append((z, cell, s, "anchor rule"))
-                if (j, cell2) in seen:
-                    rep.violations.append((z, cell, s, "collision"))
-                if diamond_delta_inv(z, j, cell2) != (cell, s):
-                    rep.violations.append((z, cell, s, "inverse"))
-                seen.add((j, cell2))
-        if seen != targets:
-            rep.violations.append((z, "image mismatch"))
-    return rep
+
+def _tracks_anchor(z, cell, s, j, cell2):
+    """Whether the anchor moves by the step s from (z, cell) to (z + s_j, cell2)."""
+    (a, b), (di, dj) = anchor(z, cell), CARDINAL[s]
+    return anchor(lattice.move(z, j), cell2) == (a + di, b + dj)
 
 
 def waffle_to_pyramid(z_c, start_cell, walk):
@@ -368,9 +348,9 @@ def enumerate_pyramid_paths(L, start, n, orientation="F"):
     return lattice.enumerate_paths(L, 3, start, orientation * n)
 
 
-def enumerate_waffle_walks(L, start, n, end_on_axis=True):
-    """All length-n waffle walks from ``start`` (ending on the axis unless
-    ``end_on_axis`` is false), as NESW words in lexicographic N < E < S < W.
+def enumerate_waffle_walks(L, start, n):
+    """All length-n waffle walks from ``start`` ending on the axis, as NESW
+    words in lexicographic N < E < S < W.
 
     Moves are checked with ``in_waffle``: an oracle independent of the counts.
     """
@@ -380,8 +360,7 @@ def enumerate_waffle_walks(L, start, n, end_on_axis=True):
         steps = ((s, (pt[0] + dx, pt[1] + dy)) for s, (dx, dy) in CARDINAL.items())
         return [(s, q) for s, q in steps if in_waffle(q, L)]
 
-    ends = (lambda pt: pt[1] == 0) if end_on_axis else (lambda pt: True)
-    return ["".join(w) for w in lattice.walks(tuple(start), n, neighbours, ends)]
+    return ["".join(w) for w in lattice.walks(tuple(start), n, neighbours, lambda pt: pt[1] == 0)]
 
 
 # -- closed-form generating function and the reflection principle -------------

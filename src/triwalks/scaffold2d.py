@@ -30,7 +30,7 @@ import random
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
 from .lattice import all_points, forward_neighbours, move, origin, run, unrun
 from .motzkin import _HEIGHT_MOVE, MotzkinWord, allowed_steps, uniform_sample
-from .profiles import CheckResult, cell_bounds, cell_representation, cells_at_height
+from .profiles import cell_bounds, cell_representation, cells_at_height, certify
 
 
 class Scaffolding:
@@ -455,35 +455,11 @@ def trapezium_delta(z, cell, step, L=None):
 
 
 def validate_scaffolding(scaf):
-    """Certify a scaffolding pointwise: domain, bijectivity, height rule."""
-    rep = CheckResult(f"scaffolding valid, L={scaf.L}")
-    for z in all_points(scaf.L, 2):
-        targets = set()
-        nbs = forward_neighbours(z)
-        for j in (1, 2, 3):
-            if min(nbs[j]) >= 0:
-                targets.update((j, c) for c in cell_representation(nbs[j]))
-        seen = {}
-        for cell in cell_representation(z):
-            for ch in allowed_steps(cell[0], scaf.L):
-                rep.checked += 1
-                try:
-                    j, cell2 = scaf.delta(z, cell, ch)
-                except NotAllowed:
-                    rep.violations.append((z, cell, ch, "domain hole"))
-                    continue
-                if cell2[0] != cell[0] + _HEIGHT_MOVE[ch]:
-                    rep.violations.append((z, cell, ch, "height rule"))
-                if (j, cell2) not in targets:
-                    rep.violations.append((z, cell, ch, f"target {(j, cell2)} missing"))
-                elif (j, cell2) in seen:
-                    rep.violations.append((z, cell, ch, f"collides with {seen[(j, cell2)]}"))
-                else:
-                    seen[(j, cell2)] = (cell, ch)
-        if len(seen) != len(targets):
-            missing = targets - set(seen)
-            rep.violations.append((z, "unreached targets", sorted(missing)[:3]))
-    return rep
+    """Certify a scaffolding pointwise by ``profiles.certify``: domain,
+    bijectivity, ``delta_inv`` and the height rule."""
+    return certify(f"scaffolding valid, L={scaf.L}", scaf.L, 2, cell_representation,
+                   lambda z, cell: allowed_steps(cell[0], scaf.L), scaf.delta, scaf.delta_inv,
+                   lambda z, cell, ch, j, cell2: cell2[0] == cell[0] + _HEIGHT_MOVE[ch])
 
 
 def sample_forward_path(L, n, seed=None, rng=None):

@@ -312,17 +312,21 @@ def test_omega_rejects_steps_outside_the_triangle(capsys):
     code, human, doc = run(capsys, "map", "--method", "omega", "--direction", "t2m",
                            "--L", "3", "s2 s7")
     assert code == 1 and human == []
-    assert doc["ok"] is False and "is not a step" in doc["error"]
+    # s2 leaves the triangle at the corner, before s7 is read
+    assert doc["ok"] is False and doc["error"] == "walk leaves the triangle"
 
 
-@pytest.mark.parametrize("method", ["trapezium", "random:3"])
-@pytest.mark.parametrize("walk, step", [("s1 s4", "4"), ("-s1", "-1"), ("s1 -s1", "-1")])
+# a walk that leaves the triangle has no bad step to name (None)
+@pytest.mark.parametrize("method", ["trapezium", "random:3", "omega"])
+@pytest.mark.parametrize("walk, step", [("s1 s4", "4"), ("-s1", "-1"), ("s1 -s1", "-1"),
+                                        ("s1 s1 s1 s1", None), ("s2 s3 s1 -s1", None)])
 def test_scaffolding_inverse_names_a_bad_step(capsys, method, walk, step):
     # "--" lets a walk that starts with "-" be the input
     code, human, doc = run(capsys, "map", "--method", method, "--direction", "t2m",
                            "--L", "3", "--", walk)
     assert code == 1 and human == [] and doc["ok"] is False
-    assert doc["error"] == f"bad step {step}: a triangle walk takes forward steps 1-3"
+    assert doc["error"] == (f"bad step {step}: a triangle walk takes forward steps 1-3"
+                            if step else "walk leaves the triangle")
 
 
 def test_gf_precision_follows_the_number_of_terms(capsys):
@@ -377,6 +381,10 @@ def test_counts_past_the_digit_limit_of_str(capsys):
         assert triangular == _count(capsys, "count motzkin --n 9200 --amplitude 40")
     # each of the 2^n direction vectors counts like the forward one
     assert _count(capsys, "count generic --L 40 --n 9200") == triangular << 9200
+    # the generic count against the DP, which reads neither the kernel nor the shift
+    generic = _count(capsys, "count generic --L 2 --n 8500")
+    assert generic > 10**4300
+    assert generic == lattice.count_generic(2, 2, lattice.origin(2), 8500)
     bicolored = _count(capsys, "count bicolored --L 4 --p 4000 --q 4000")
     assert bicolored > 10**5000
     paths = _count(capsys, "count motzkin --n 8000 --amplitude 4")
@@ -847,6 +855,42 @@ def _perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_perfbench_tracer_wraps_and_restores_every_name():
+    # the traced benchmark run wraps public names by string: a deleted or
+    # renamed one fails install, and uninstall must put every original back
+    import importlib
+    import types
+
+    import triwalks
+
+    spans = _perfbench_module("spans")
+    tw = types.SimpleNamespace(package=triwalks, **{
+        layer: importlib.import_module(f"triwalks.{layer}") for layer in spans.LAYERS})
+    owners = [vars(tw)[key] for key in vars(tw)]
+    owners += [cls for m in owners for cls in vars(m).values()
+               if isinstance(cls, type) and cls.__module__ == m.__name__]
+
+    def snapshot():
+        return ({(id(o), key): value for o in owners for key, value in vars(o).items()},
+                {key: list(checks) for key, checks in tw.verify.SUITES.items()})
+
+    before = snapshot()
+    tracer = spans.Tracer()
+    tracer.install(tw)
+    try:
+        for layer, quals in spans.SPANNED.items():
+            for qual in quals:
+                owner = getattr(tw, layer)
+                for part in qual.split("."):
+                    owner = getattr(owner, part)
+                assert hasattr(owner, "__wrapped__"), f"{layer}.{qual}"
+    finally:
+        tracer.uninstall()
+    after = snapshot()
+    assert after[0].keys() == before[0].keys() and after[1] == before[1]
+    assert all(after[0][key] is value for key, value in before[0].items())
 
 
 def test_every_perfbench_command_line_parses():

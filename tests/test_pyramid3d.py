@@ -200,6 +200,22 @@ def test_scaffolding3d_certificate():
         assert rep.ok, rep.violations[:3]
 
 
+def test_scaffolding3d_certificate_reports_a_domain_hole(monkeypatch):
+    closed_form = pyramid3d.diamond_delta
+    z, cell = (1, 1, 1, 1), (0, 0)
+
+    def diamond_delta(w, c, s):  # refuses one entry of its own domain
+        if (w, c, s) == (z, cell, "N"):
+            raise NotAllowed("hole")
+        return closed_form(w, c, s)
+
+    monkeypatch.setattr(pyramid3d, "diamond_delta", diamond_delta)
+    rep = pyramid3d.validate_scaffolding3d(4)
+    # the hole, and the one target that its entry should have reached
+    assert rep.violations[0] == (z, cell, "N", "domain hole")
+    assert [v[:2] for v in rep.violations[1:]] == [(z, "unreached targets")]
+
+
 def test_diamond_delta_rejects_bad_input():
     with pytest.raises(NotAllowed):
         pyramid3d.diamond_delta((0, 0, 0, 3), (1, 1), "N")

@@ -91,13 +91,14 @@ def test_inverse_is_built_on_the_first_delta_inv():
     scaf = RandomScaffolding(7, 3)
     word = motzkin.uniform_sample(30, 7, seed=2)
     path = scaf.motzkin_to_triangular(word)
-    assert scaffold2d.validate_scaffolding(scaf).ok
     assert "inverse" not in vars(scaf)
     assert scaf.triangular_to_motzkin(path) == word
     assert "inverse" in vars(scaf)  # built once, not per lookup
     assert scaf.inverse == {
         z: {v: k for k, v in tab.items()} for z, tab in scaf.tables.items()
     }
+    # the certificate reads delta_inv too, so it runs after the assertions above
+    assert scaffold2d.validate_scaffolding(scaf).ok
 
 
 def test_loads_and_from_json_read_the_same_tables():
@@ -183,6 +184,21 @@ def test_trapezium_valid_every_size():
     for L in range(8):
         rep = scaffold2d.validate_scaffolding(TrapeziumScaffolding(L))
         assert rep.ok, rep.violations[:3]
+
+
+def test_certificate_checks_the_inverse_at_every_entry(monkeypatch):
+    scaf = TrapeziumScaffolding(5)
+    z, cell, ch = (1, 2, 2), (1, 1), "F"
+    image = scaf.delta(z, cell, ch)
+    closed_form = scaf.delta_inv
+
+    def delta_inv(w, j, cell2):  # wrong at the one entry (z, image)
+        back = closed_form(w, j, cell2)
+        return ((0, 0), "U") if (w, (j, cell2)) == (z, image) else back
+
+    monkeypatch.setattr(scaf, "delta_inv", delta_inv)
+    rep = scaffold2d.validate_scaffolding(scaf)
+    assert rep.violations == [(z, cell, ch, "inverse")]
 
 
 def test_trapezium_case_conditions_pointwise():
