@@ -4,9 +4,10 @@ ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
 behind the served counts (and each of its two engines, where the checkout
 has them), the closed-form generating function and the sampler and
 trapezium checks of ``verify``, end-to-end timings of large ``count``,
-``map`` and ``sample`` commands, of saving a random scaffolding and of a
-fresh interpreter that imports the CLI, and the time and memory of the
-samples and of reading that file back, written to a BENCH_*.json file.
+``map`` and ``sample`` commands, of saving a random scaffolding, of mapping
+a walk by that file and of a fresh interpreter that imports the CLI, and
+the time and memory of the samples, of the save, of the map and of reading
+that file back, written to a BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -24,9 +25,10 @@ shows in every pair alike. Standard library only.
 The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
 they time the command a user runs, whatever code serves it. The ``process``
 rows start a new interpreter with the same PYTHONPATH: bare, and importing
-``triwalks.cli``; their difference is the import. The ``cli
-sample`` rows and the ``RandomScaffolding.loads`` row also store the peak of
-memory allocated during one more, untimed call (``tracemalloc``), in bytes.
+``triwalks.cli``; their difference is the import. The ``cli sample``,
+``cli scaffolding`` and ``cli map --scaffolding-file`` rows and the
+``RandomScaffolding.loads`` row also store the peak of memory allocated
+during one more, untimed call (``tracemalloc``), in bytes.
 """
 
 from __future__ import annotations
@@ -246,9 +248,21 @@ def rows():
         path = os.path.join(tmp, "scaffolding.json")
         seconds = best_of(run_cli, [*argv.split(), path])
         out.append({"name": f"cli {argv} <tmp>", "params": {"argv": f"{argv} <tmp>"},
-                    "seconds": round(seconds, 6)})
+                    "seconds": round(seconds, 6),
+                    "tracemalloc_peak_bytes": peak_bytes(run_cli, [*argv.split(), path])})
         with open(path) as fh:
             text = fh.read()
+        # a walk of the file's own scaffolding, mapped back to its word
+        n, L = 6_000, 25
+        walk = lattice.format_steps(scaffold2d.RandomScaffolding(L, 1).motzkin_to_triangular(
+            motzkin.uniform_sample(n, L, seed=1)))
+        map_argv = ["map", "--scaffolding-file", path, "--direction", "t2m", "--L", str(L), walk]
+        name = "cli map --scaffolding-file <tmp> --direction t2m"
+        out.append({"name": name,
+                    "params": {"argv": f"{name} --L {L} <walk>", "n": n, "L": L,
+                               "walk": "m2t image of uniform_sample(n, L, seed=1) by the file"},
+                    "seconds": round(best_of(run_cli, map_argv), 6),
+                    "tracemalloc_peak_bytes": peak_bytes(run_cli, map_argv)})
     out.append({"name": "RandomScaffolding.loads", "params": {"file": f"cli {argv} <tmp>"},
                 "seconds": round(best_of(scaffold2d.RandomScaffolding.loads, text), 6),
                 "tracemalloc_peak_bytes": peak_bytes(scaffold2d.RandomScaffolding.loads, text)})

@@ -86,12 +86,14 @@ def _scaffolding_from_flag(flag, L):
 def _load_scaffolding(path):
     """The scaffolding saved in ``path``; UsageError if unreadable or malformed."""
     try:
-        text = pathlib.Path(path).read_text()
+        return scaffold2d.RandomScaffolding.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read the scaffolding file: {exc}") from None
-    try:
-        return scaffold2d.RandomScaffolding.loads(text)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except UnicodeDecodeError as exc:
+        # not UTF-8; the repr would repeat every byte of the file
+        raise UsageError(f"{path} is not a scaffolding file: {exc}") from None
+    # RecursionError: nested too deep for the JSON parser
+    except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a scaffolding file: {exc!r}") from None
 
 
@@ -303,7 +305,8 @@ def cmd_scaffolding(args):
         out = pathlib.Path(args.out) if args.out else _outpath(
             f"scaffolding_L{args.L}_seed{args.seed}.json"
         )
-        out.write_text(scaf.dumps())
+        with out.open("w", encoding="utf-8") as fh:
+            scaf.dump(fh)
     except OSError as exc:
         raise UsageError(f"cannot write the scaffolding: {exc}") from None
     return ({"inputs": {"L": args.L, "seed": args.seed},

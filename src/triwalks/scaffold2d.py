@@ -30,7 +30,7 @@ import random
 from .errors import AmplitudeExceeded, EmptySet, NotAllowed, OutOfLattice
 from .lattice import all_points, forward_neighbours, move, origin, run, unrun
 from .motzkin import _HEIGHT_MOVE, MotzkinWord, allowed_steps, uniform_sample
-from .profiles import cell_bounds, cell_representation, cells_at_height, certify
+from .profiles import cell_bounds, cell_representation, certify
 
 
 class Scaffolding:
@@ -117,7 +117,15 @@ class RandomScaffolding(Scaffolding):
     targets by neighbour j and cell, then ``rng.shuffle`` permutes the
     targets.
 
-    ``dumps`` writes, and ``loads`` reads, a JSON document with sorted keys::
+    The entries are shared: the tables of one scaffolding hold one key
+    tuple per distinct (cell, step) and one target tuple per distinct
+    (j, cell), a few hundred per L in place of one pair per entry (28,119
+    entries at L = 25). A built scaffolding takes them from one row per
+    height, a loaded one from a memo kept for that load only, and
+    ``inverse`` reuses them. Sharing changes no table, lookup or file byte.
+
+    ``dumps`` writes (``dump`` to an open file, point by point), and
+    ``loads`` reads, a JSON document with sorted keys::
 
         {"L": <int>, "seed": <the seed or null>,
          "tables": {"<x1>,<x2>,<x3>": [record, ...], ...}}
@@ -145,26 +153,29 @@ class RandomScaffolding(Scaffolding):
         self.seed = seed
         if tables is None:
             rng = random.Random(seed)
-            points = all_points(L, 2)
-            # cells and steps per height, 0..L // 2 + 1: a D step reads one
-            # height above the class (no cell lies there)
+            # one shared key ((f, l), step) and one shared target (j, (f, l))
+            # per cell of height f = 0..L // 2 + 1 (a D step reads one height
+            # above the class, where no cell lies); a point's table takes
+            # slices of these rows, so it holds no tuple of its own
             heights = range(L // 2 + 2)
-            rows = {z: [cells_at_height(z, f) for f in heights] for z in points}
+            cells = [[(f, l) for l in range(f + 1)] for f in heights]
+            key_rows = {ch: [[(c, ch) for c in row] for row in cells] for ch in ("U", "F", "D")}
+            target_rows = {j: [[(j, c) for c in row] for row in cells] for j in (1, 2, 3)}
             allowed = [allowed_steps(f, L) for f in heights]
-            tables = {z: self._build_point(z, rows, allowed, rng) for z in points}
+            tables = {z: self._build_point(z, key_rows, target_rows, allowed, rng)
+                      for z in all_points(L, 2)}
         self.tables = tables
 
-    def _build_point(self, z, rows, allowed, rng):
-        cells = rows[z]
-        nbs = [(j, rows[w]) for j, w in forward_neighbours(z).items() if min(w) >= 0]
+    def _build_point(self, z, key_rows, target_rows, allowed, rng):
+        nbs = [(target_rows[j], w) for j, w in forward_neighbours(z).items() if min(w) >= 0]
         table = {}
         for h in range(self.L // 2 + 1):
             sources = []
             for ch in ("U", "F", "D"):
                 f = h - _HEIGHT_MOVE[ch]
                 if 0 <= f and ch in allowed[f]:
-                    sources.extend([(c, ch) for c in cells[f]])
-            targets = [(j, c) for j, wcells in nbs for c in wcells[h]]
+                    sources += _at_cells(key_rows[ch][f], z, f)
+            targets = [t for rows, w in nbs for t in _at_cells(rows[h], w, h)]
             if len(sources) != len(targets):
                 raise AssertionError(
                     f"height class size mismatch at z={z}, h={h}: "
@@ -213,6 +224,7 @@ class RandomScaffolding(Scaffolding):
 
     @classmethod
     def from_json(cls, doc):
+        share = {}.setdefault  # one object per distinct key and target, for this load
         L = doc["L"]
         if type(L) is not int or L < 0:
             raise ValueError(f"L is {L!r}, not an int >= 0")
@@ -224,33 +236,45 @@ class RandomScaffolding(Scaffolding):
             if type(recs) is not list:
                 raise ValueError(f"table {key} is not a list of records")
             # loads has converted the records while parsing
-            tables[z] = dict(r if type(r) is tuple else _record(r) for r in recs)
+            tables[z] = dict(r if type(r) is tuple else _record(r, share) for r in recs)
         return cls(L, seed=doc.get("seed"), tables=tables)
 
-    def dumps(self):
-        """``json.dumps(self.to_json(), sort_keys=True)``, written in one pass."""
-        points = sorted((",".join(map(str, z)), tab) for z, tab in self.tables.items())
-        body = ", ".join(
-            f'"{key}": [' + ", ".join(
+    def _chunks(self):
+        """The text of ``dumps``, one chunk per point between its head and tail."""
+        yield f'{{"L": {json.dumps(self.L)}, "seed": {json.dumps(self.seed)}, "tables": {{'
+        sep = ""
+        for key, tab in sorted((",".join(map(str, z)), tab) for z, tab in self.tables.items()):
+            yield sep + f'"{key}": [' + ", ".join(
                 f'{{"cell": [{f}, {l}], "out_cell": [{f2}, {l2}], '
                 f'"out_step": "s{j}", "step": "{ch}"}}'
                 for ((f, l), ch), (j, (f2, l2)) in sorted(tab.items())
             ) + "]"
-            for key, tab in points
-        )
-        return f'{{"L": {json.dumps(self.L)}, "seed": {json.dumps(self.seed)}, "tables": {{{body}}}}}'
+            sep = ", "
+        yield "}}"
+
+    def dump(self, fh):
+        """Write ``dumps()`` to the text file ``fh``, one point at a time."""
+        fh.writelines(self._chunks())
+
+    def dumps(self):
+        """``json.dumps(self.to_json(), sort_keys=True)``, built point by point."""
+        return "".join(self._chunks())
 
     @classmethod
     def loads(cls, text):
-        return cls.from_json(json.loads(text, object_hook=_parse_object))
+        share = {}.setdefault  # one object per distinct key and target, for this load
+        return cls.from_json(json.loads(
+            text, object_hook=lambda obj: _record(obj, share) if "cell" in obj else obj))
 
 
 # (step, out_step) of a valid record -> the forward step index j
 _STEP_PAIRS = {(step, f"s{j}"): j for step in "UFD" for j in (1, 2, 3)}
 
 
-def _record(rec):
-    """The table entry ((cell, step), (j, out_cell)) of one file record."""
+def _record(rec, share):
+    """The table entry ((cell, step), (j, out_cell)) of one file record, with
+    the key and the target that ``share`` (a ``dict.setdefault``) holds for
+    them, so that equal keys and equal targets are one object."""
     cell, step, out_step, out_cell = rec["cell"], rec["step"], rec["out_step"], rec["out_cell"]
     try:
         (f, l), (f2, l2) = cell, out_cell
@@ -259,7 +283,8 @@ def _record(rec):
         j = None
     if j is None or not (type(f) is int and type(l) is int and type(f2) is int and type(l2) is int):
         raise ValueError(_record_error(rec))
-    return ((f, l), step), (j, (f2, l2))
+    key, target = ((f, l), step), (j, (f2, l2))
+    return share(key, key), share(target, target)
 
 
 def _is_cell(value):
@@ -282,9 +307,11 @@ def _record_error(rec):
     return f"{field} {rec[field]!r} is not a pair of integers"
 
 
-def _parse_object(obj):
-    """object_hook of ``loads``: a record becomes its table entry as it is parsed."""
-    return _record(obj) if "cell" in obj else obj
+def _at_cells(row, z, f):
+    """The entries of ``row``, one per cell (f, l) for l = 0..f, at the cells
+    of z at height f."""
+    lo, hi = cell_bounds(z, f)
+    return row[lo:hi + 1] if lo <= hi else ()
 
 
 def build_random_scaffolding(L, seed):

@@ -456,9 +456,10 @@ NOT_REACHED = {
     "flips.transform_with_trace", "lattice.enumerate_generic", "motzkin.MotzkinWord.to_word",
     "profiles.CheckResult.summary", "pyramid3d.anchored_region",
     "scaffold2d.RandomScaffolding.to_json", "scaffold2d.TrapeziumScaffolding.case",
-    # wrappers kept because the benchmark's tracer wraps them by name
+    # kept because the benchmark's tracer wraps them by name: three wrappers,
+    # and `dumps`, since `scaffolding` writes its file by `dump`
     "scaffold2d.build_random_scaffolding", "scaffold2d.trapezium_delta",
-    "scaffold2d.trapezium_scaffolding",
+    "scaffold2d.trapezium_scaffolding", "scaffold2d.RandomScaffolding.dumps",
     # abstract methods, overridden by both scaffoldings
     "scaffold2d.Scaffolding.delta", "scaffold2d.Scaffolding.delta_inv",
     # reached only when a check fails
@@ -644,6 +645,9 @@ BAD_RECORDS = {"step": ("step", "X"), "out_step_minus": ("out_step", "s-1"),
 # a valid file of side L with one change at the document level: L = 1 as
 # true, or a table keyed by a point outside the triangle
 BAD_DOCUMENTS = {"bool_L": (1, "L", True), "outside_point": (3, "9,9,9", [])}
+# files that are no JSON document this parser reads: nested past its
+# recursion limit, or not UTF-8
+BAD_BYTES = {"deep_nesting": b"[" * 100000 + b"]" * 100000, "not_utf8": b'\xff\xfe{"L": 3}'}
 
 
 @pytest.mark.parametrize(
@@ -656,12 +660,13 @@ BAD_DOCUMENTS = {"bool_L": (1, "L", True), "outside_point": (3, "9,9,9", [])}
         ["scaffolding", "--L", "3", "--seed", "1", "--out", "{missing_dir}"],
     ] + [
         argv
-        for name in [*BAD_RECORDS, *BAD_DOCUMENTS]
+        for name in [*BAD_RECORDS, *BAD_DOCUMENTS, *BAD_BYTES]
         for argv in (["map", "--L", "3", "--scaffolding-file", "{%s}" % name, "UFD"],
                      ["verify", "--scaffolding-file", "{%s}" % name])
     ],
     ids=["map-missing", "verify-missing", "map-no-tables", "verify-no-tables", "out-missing-dir"]
-    + [f"{cmd}-{name}" for name in [*BAD_RECORDS, *BAD_DOCUMENTS] for cmd in ("map", "verify")],
+    + [f"{cmd}-{name}" for name in [*BAD_RECORDS, *BAD_DOCUMENTS, *BAD_BYTES]
+       for cmd in ("map", "verify")],
 )
 def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, argv):
     from triwalks.scaffold2d import RandomScaffolding
@@ -680,6 +685,9 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         (doc if key == "L" else doc["tables"])[key] = value
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    for name, data in BAD_BYTES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
     argv = [a.format(**paths) for a in argv]
     code, human, doc = run(capsys, *argv)
     assert code == 2 and human == []

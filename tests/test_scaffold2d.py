@@ -87,6 +87,40 @@ def test_scaffolding_file_bytes_are_pinned():
     )
 
 
+def test_cli_writes_the_pinned_file(tmp_path, capsys):
+    import hashlib
+
+    from triwalks import cli
+
+    path = tmp_path / "scaffolding.json"
+    assert cli.main(["scaffolding", "--L", "25", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert len(data) == 1951454
+    assert hashlib.sha256(data).hexdigest() == (
+        "372a45f4b8305dbbde3a12d45cc3bad7ad6a046e6ec86a0bc69fad7ad37d2669"
+    )
+
+
+def _shared(tables):
+    """Whether equal keys are one object and equal targets are one object
+    across all of ``tables``."""
+    keys = [k for tab in tables.values() for k in tab]
+    targets = [t for tab in tables.values() for t in tab.values()]
+    return (len({id(k) for k in keys}) == len(set(keys))
+            and len({id(t) for t in targets}) == len(set(targets)))
+
+
+@pytest.mark.parametrize("L", [0, 3, 12, 25])
+def test_tables_share_one_object_per_key_and_target(L):
+    scaf = RandomScaffolding(L, 1)
+    loaded = RandomScaffolding.loads(scaf.dumps())
+    parsed = RandomScaffolding.from_json(scaf.to_json())
+    for s in (scaf, loaded, parsed):
+        assert s.tables == scaf.tables
+        assert _shared(s.tables) and _shared(s.inverse), L
+
+
 def test_inverse_is_built_on_the_first_delta_inv():
     scaf = RandomScaffolding(7, 3)
     word = motzkin.uniform_sample(30, 7, seed=2)
