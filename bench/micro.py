@@ -5,9 +5,9 @@ behind the served counts (and each of its two engines, where the checkout
 has them), the closed-form generating function and the sampler and
 trapezium checks of ``verify``, end-to-end timings of large ``count``,
 ``map`` and ``sample`` commands, of saving a random scaffolding, of mapping
-a walk by that file and of a fresh interpreter that imports the CLI, and
-the time and memory of the samples, of the save, of the map and of reading
-that file back, written to a BENCH_*.json file.
+words and walks by saved files and of a fresh interpreter that imports the
+CLI, and the time and memory of the samples, of the save, of the maps and
+of reading the files back, written to a BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -26,9 +26,13 @@ The ``cli`` rows run ``cli.main`` in-process with stdout captured, so
 they time the command a user runs, whatever code serves it. The ``process``
 rows start a new interpreter with the same PYTHONPATH: bare, and importing
 ``triwalks.cli``; their difference is the import. The ``cli sample``,
-``cli scaffolding`` and ``cli map --scaffolding-file`` rows and the
-``RandomScaffolding.loads`` row also store the peak of memory allocated
-during one more, untimed call (``tracemalloc``), in bytes.
+``cli scaffolding`` and ``cli map --scaffolding-file`` rows (L = 18 and
+25, both directions) and the rows that read a saved scaffolding also store
+the peak of memory allocated during one more, untimed call
+(``tracemalloc``), in bytes. Those read the L = 25 file's text by
+``RandomScaffolding.loads``, and the L = 25 and L = 40 files as a
+command once read them (the text, then ``loads``) and, where the checkout
+has it, by ``RandomScaffolding.load`` on the open file.
 """
 
 from __future__ import annotations
@@ -121,6 +125,22 @@ def run_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise RuntimeError(f"triwalks {' '.join(argv)} failed")
+
+
+def file_readers():
+    """(row name, reader of a scaffolding file path): the text read whole and
+    then ``loads``, and ``load`` on the open file where the checkout has it."""
+    def read_text_loads(path):
+        with open(path, encoding="utf-8") as fh:
+            return scaffold2d.RandomScaffolding.loads(fh.read())
+
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            return scaffold2d.RandomScaffolding.load(fh)
+
+    yield "read + RandomScaffolding.loads", read_text_loads
+    if hasattr(scaffold2d.RandomScaffolding, "load"):
+        yield "RandomScaffolding.load", load
 
 
 def moves(pairs):
@@ -252,20 +272,37 @@ def rows():
                     "tracemalloc_peak_bytes": peak_bytes(run_cli, [*argv.split(), path])})
         with open(path) as fh:
             text = fh.read()
-        # a walk of the file's own scaffolding, mapped back to its word
-        n, L = 6_000, 25
-        walk = lattice.format_steps(scaffold2d.RandomScaffolding(L, 1).motzkin_to_triangular(
-            motzkin.uniform_sample(n, L, seed=1)))
-        map_argv = ["map", "--scaffolding-file", path, "--direction", "t2m", "--L", str(L), walk]
-        name = "cli map --scaffolding-file <tmp> --direction t2m"
-        out.append({"name": name,
-                    "params": {"argv": f"{name} --L {L} <walk>", "n": n, "L": L,
-                               "walk": "m2t image of uniform_sample(n, L, seed=1) by the file"},
-                    "seconds": round(best_of(run_cli, map_argv), 6),
-                    "tracemalloc_peak_bytes": peak_bytes(run_cli, map_argv)})
-    out.append({"name": "RandomScaffolding.loads", "params": {"file": f"cli {argv} <tmp>"},
-                "seconds": round(best_of(scaffold2d.RandomScaffolding.loads, text), 6),
-                "tracemalloc_peak_bytes": peak_bytes(scaffold2d.RandomScaffolding.loads, text)})
+        out.append({"name": "RandomScaffolding.loads", "params": {"file": f"cli {argv} <tmp>"},
+                    "seconds": round(best_of(scaffold2d.RandomScaffolding.loads, text), 6),
+                    "tracemalloc_peak_bytes": peak_bytes(scaffold2d.RandomScaffolding.loads, text)})
+        paths = {25: path}
+        for L in (18, 40):
+            paths[L] = os.path.join(tmp, f"scaffolding_L{L}.json")
+            run_cli(["scaffolding", "--L", str(L), "--seed", "1", "--out", paths[L]])
+        # the whole read of a file, as the CLI reads it in each checkout:
+        # its text and then loads, or load on the open file where it exists
+        for L in (25, 40):
+            for name, read in file_readers():
+                out.append({"name": name, "params": {"file": f"cli scaffolding --L {L} --seed 1"},
+                            "seconds": round(best_of(read, paths[L]), 6),
+                            "tracemalloc_peak_bytes": peak_bytes(read, paths[L])})
+        # a word and a walk of the file's own scaffolding, mapped by the file
+        n = 6_000
+        for L in (18, 25):
+            word = motzkin.uniform_sample(n, L, seed=1)
+            walk = lattice.format_steps(
+                scaffold2d.RandomScaffolding(L, 1).motzkin_to_triangular(word))
+            for direction, given in (("m2t", word.steps), ("t2m", walk)):
+                map_argv = ["map", "--scaffolding-file", paths[L], "--direction", direction,
+                            "--L", str(L), given]
+                name = f"cli map --scaffolding-file <tmp> --direction {direction} --L {L}"
+                source = "uniform_sample(n, L, seed=1)"
+                if direction == "t2m":
+                    source += " mapped m2t by the file"
+                out.append({"name": name, "params": {"argv": f"{name} <input>", "n": n, "L": L,
+                                                     "input": source},
+                            "seconds": round(best_of(run_cli, map_argv), 6),
+                            "tracemalloc_peak_bytes": peak_bytes(run_cli, map_argv)})
     return out
 
 

@@ -86,15 +86,27 @@ def _scaffolding_from_flag(flag, L):
 def _load_scaffolding(path):
     """The scaffolding saved in ``path``; UsageError if unreadable or malformed."""
     try:
-        return scaffold2d.RandomScaffolding.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return scaffold2d.RandomScaffolding.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read the scaffolding file: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError:
         # not UTF-8; the repr would repeat every byte of the file
-        raise UsageError(f"{path} is not a scaffolding file: {exc}") from None
+        raise UsageError(f"{path} is not a scaffolding file: {_utf8_error(path)}") from None
     # RecursionError: nested too deep for the JSON parser
     except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a scaffolding file: {exc!r}") from None
+
+
+def _utf8_error(path):
+    """The error of decoding all of ``path`` as UTF-8: a file read in chunks
+    counts the position of a bad byte from the start of its chunk, this one
+    from the start of the file."""
+    try:
+        pathlib.Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return exc
+    return "not UTF-8"
 
 
 def _served_count(d):
@@ -182,10 +194,19 @@ def cmd_count_pyramid(args):
 
 
 def cmd_count_waffle(args):
+    if args.L < 0:
+        raise ValueError(f"need L >= 0, got L={args.L}")
     start = lattice.parse_point(args.start) if args.start else (0, 0)
     value = pyramid3d.count_waffle_walks(args.L, args.n, start)
     return _counted({"family": "waffle", "L": args.L, "n": args.n,
                      "start": ",".join(map(str, start))}, value)
+
+
+def _check_amplitude(args):
+    """A negative amplitude, in the words of ``count motzkin``; the motzkin
+    functions would call it a bad start height."""
+    if args.amplitude < 0:
+        raise ValueError(f"need n, L >= 0, got n={args.n}, L={args.amplitude}")
 
 
 def _listed(inputs, out):
@@ -196,6 +217,7 @@ def _listed(inputs, out):
 
 
 def cmd_enumerate_motzkin(args):
+    _check_amplitude(args)
     words = motzkin.enumerate_meanders(args.n, args.amplitude, args.start_height, cap=args.cap)
     return _listed({"family": "motzkin", "n": args.n, "amplitude": args.amplitude,
                     "start_height": args.start_height}, [w.steps for w in words])
@@ -220,6 +242,8 @@ def cmd_map(args):
         if args.direction == "t2m":
             raise UsageError("triwalks map: argument --bicolored: not allowed with "
                              "argument --direction t2m")
+    if args.L < 0:
+        raise ValueError(f"need L >= 0, got L={args.L}")
     inputs = {"method": method, "direction": args.direction, "L": args.L,
               "input": args.input, "bicolored": args.bicolored}
     if method == "omega":
@@ -250,6 +274,7 @@ def cmd_map(args):
 
 
 def cmd_sample_motzkin(args):
+    _check_amplitude(args)
     word = motzkin.uniform_sample(args.n, args.amplitude, seed=args.seed)
     inputs = {"family": "motzkin", "n": args.n, "amplitude": args.amplitude, "seed": args.seed}
     return ({"inputs": inputs, "outputs": {"motzkin": word.steps}},

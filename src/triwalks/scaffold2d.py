@@ -125,7 +125,8 @@ class RandomScaffolding(Scaffolding):
     ``inverse`` reuses them. Sharing changes no table, lookup or file byte.
 
     ``dumps`` writes (``dump`` to an open file, point by point), and
-    ``loads`` reads, a JSON document with sorted keys::
+    ``loads`` reads (``load`` from an open file), a JSON document with
+    sorted keys::
 
         {"L": <int>, "seed": <the seed or null>,
          "tables": {"<x1>,<x2>,<x3>": [record, ...], ...}}
@@ -134,9 +135,16 @@ class RandomScaffolding(Scaffolding):
 
         {"cell": [f, l], "out_cell": [f', l'], "out_step": "s<j>", "step": "<U|F|D>"}
 
-    ``loads`` converts each record to its table entry while it parses, and
-    ``from_json`` converts the records of a parsed document the same way.
-    ``L`` must be an int >= 0 (not a bool), every key a point of the
+    ``load`` and ``loads`` read point by point: ``load`` takes the file
+    ``_CHUNK`` characters at a time, and each point's list of records
+    becomes that point's table as soon as it is parsed, so neither the
+    file's text nor a parse of the whole document is ever held; the read
+    keeps the tables, the memo and the text of about one chunk. They accept
+    and refuse the same documents as ``from_json(json.loads(text))``, with
+    the same errors: any whitespace, key order or escapes, the last of
+    repeated keys, nothing but whitespace after the document. ``from_json``
+    converts the records of a parsed document by the same per-point
+    builder. ``L`` must be an int >= 0 (not a bool), every key a point of the
     triangle of side L, and every record must have a step in U, F, D, an
     out_step in s1, s2, s3 and cells that are pairs of integers, or
     ValueError is raised (KeyError for a missing field). A record that
@@ -225,18 +233,22 @@ class RandomScaffolding(Scaffolding):
     @classmethod
     def from_json(cls, doc):
         share = {}.setdefault  # one object per distinct key and target, for this load
+        return cls._assemble(doc, lambda key, recs: _table(key, recs, share))
+
+    @classmethod
+    def _assemble(cls, doc, table):
+        """The scaffolding of a parsed document, with ``table(key, value)``
+        the table of the point keyed ``key``; L and each key are checked
+        before that point's table is asked for."""
         L = doc["L"]
         if type(L) is not int or L < 0:
             raise ValueError(f"L is {L!r}, not an int >= 0")
         tables = {}
-        for key, recs in doc["tables"].items():
+        for key, value in doc["tables"].items():
             z = tuple(int(t) for t in key.split(","))
             if len(z) != 3 or min(z) < 0 or sum(z) != L:
                 raise ValueError(f"table {key} is not a point of the triangle of side {L}")
-            if type(recs) is not list:
-                raise ValueError(f"table {key} is not a list of records")
-            # loads has converted the records while parsing
-            tables[z] = dict(r if type(r) is tuple else _record(r, share) for r in recs)
+            tables[z] = table(key, value)
         return cls(L, seed=doc.get("seed"), tables=tables)
 
     def _chunks(self):
@@ -261,14 +273,64 @@ class RandomScaffolding(Scaffolding):
         return "".join(self._chunks())
 
     @classmethod
+    def load(cls, fh):
+        """Read the text file ``fh``, ``_CHUNK`` characters at a time."""
+        return cls._read("", fh.read)
+
+    @classmethod
     def loads(cls, text):
-        share = {}.setdefault  # one object per distinct key and target, for this load
-        return cls.from_json(json.loads(
-            text, object_hook=lambda obj: _record(obj, share) if "cell" in obj else obj))
+        return cls._read(text, None)
+
+    @classmethod
+    def _read(cls, text, read):
+        """Read a document point by point: ``text``, then what ``read(size)``
+        returns until it returns "" (no ``read``: ``text`` is all of it).
+
+        Only the top-level object and its ``"tables"`` object are scanned
+        here; every other value goes to the JSON parser, and each point's
+        list becomes that point's table as soon as it is parsed. The checks
+        of ``from_json`` wait for the end of the document, since L may come
+        after the tables and a repeated key replaces an earlier value, so
+        a document is accepted, or refused with the same error, exactly as
+        by ``from_json(json.loads(text))``.
+        """
+        src = _Reader(text, read)
+        if not src.opens_object():
+            return cls.from_json(json.loads(src.rest()))
+        doc, share = {}, {}.setdefault
+        for key in src.members():
+            if key != "tables" or src.char() != "{":
+                doc[key] = src.value()
+                continue
+            src.pos += 1
+            doc[key] = tables = {}  # key -> its table, or the error its value raised
+            for point in src.members():
+                recs = src.value()
+                try:
+                    tables[point] = _table(point, recs, share)
+                except (KeyError, TypeError, ValueError) as exc:
+                    tables[point] = exc
+        src.close()
+        return cls._assemble(doc, _built)
 
 
 # (step, out_step) of a valid record -> the forward step index j
 _STEP_PAIRS = {(step, f"s{j}"): j for step in "UFD" for j in (1, 2, 3)}
+
+
+def _table(key, recs, share):
+    """The table of the point keyed ``key`` from its list of records, with
+    one ``share`` per load (see ``_record``)."""
+    if type(recs) is not list:
+        raise ValueError(f"table {key} is not a list of records")
+    return dict([_record(rec, share) for rec in recs])
+
+
+def _built(key, table):
+    """A table that ``_read`` built, or the error its records raised."""
+    if isinstance(table, Exception):
+        raise table
+    return table
 
 
 def _record(rec, share):
@@ -305,6 +367,138 @@ def _record_error(rec):
         return f"out_step {out_step!r} is not s1, s2 or s3"
     field = "cell" if not _is_cell(rec["cell"]) else "out_cell"
     return f"{field} {rec[field]!r} is not a pair of integers"
+
+
+# characters that ``RandomScaffolding.load`` reads at a time
+_CHUNK = 1 << 16
+
+
+class _Reader:
+    """A JSON text, ``text`` and then what ``read(size)`` returns, of which
+    only the part not yet parsed is kept: ``buf`` from index ``pos`` on.
+
+    The parser's errors name their place in the whole text, as in
+    ``json.loads``: ``offset`` characters, ``lines`` of them newlines, were
+    dropped before ``buf``, the last newline at index ``last_nl``.
+    """
+
+    def __init__(self, text, read):
+        self.buf, self.pos, self.read = text, 0, read
+        self.offset, self.lines, self.last_nl = 0, 0, -1
+        self.space = json.decoder.WHITESPACE.match
+        self.decode = json.JSONDecoder().raw_decode
+
+    def more(self):
+        """Read the next chunk, at least as long as the unparsed text, and
+        drop the parsed text; False at the end of the file."""
+        if self.read is None:
+            return False
+        chunk = self.read(max(_CHUNK, len(self.buf) - self.pos))
+        if not chunk:
+            self.read = None
+            return False
+        done, self.pos = self.pos, 0
+        self.lines += self.buf.count("\n", 0, done)
+        nl = self.buf.rfind("\n", 0, done)
+        if nl >= 0:
+            self.last_nl = self.offset + nl
+        self.offset += done
+        self.buf = self.buf[done:] + chunk
+        return True
+
+    def opens_object(self):
+        """Whether the text is "{" after whitespace, then moving past it;
+        nothing is dropped before it, so ``rest`` is still the whole text."""
+        while True:
+            start = self.space(self.buf).end()
+            if start < len(self.buf) or not self.more():
+                break
+        self.pos = start + 1
+        return self.buf[start:start + 1] == "{"
+
+    def rest(self):
+        """The whole text, read to the end; only before anything is dropped."""
+        return self.buf + (self.read() if self.read else "")
+
+    def char(self):
+        """The next character that is not whitespace, "" at the end; ``pos`` moves to it."""
+        while True:
+            self.pos = self.space(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def value(self, parse=None):
+        """The JSON value at ``pos``, parsed by ``parse`` (default: the JSON
+        parser), reading on while it may be cut short; ``pos`` moves past it.
+
+        A value that does not parse is retried until the end of the file,
+        so that bytes that are not UTF-8 anywhere raise first, as when the
+        whole file is decoded before it is parsed."""
+        parse = parse or self.decode
+        if len(self.buf) - self.pos < _CHUNK // 2:
+            # read ahead, so that a value shorter than half a chunk is never cut
+            self.more()
+        while True:
+            try:
+                value, end = parse(self.buf, self.pos)
+            except (ValueError, RecursionError) as exc:
+                if self.more():
+                    continue
+                if isinstance(exc, json.JSONDecodeError):
+                    raise self.error(exc.msg, exc.pos) from None
+                raise
+            # a number cut short may go on past a ".", "e" or "e+" that
+            # the parser leaves behind
+            if end + 2 < len(self.buf) or not self.more():
+                self.pos = end
+                return value
+
+    @staticmethod
+    def string(text, pos):
+        """The JSON string whose quote is at ``pos``, and the index past it."""
+        return json.decoder.scanstring(text, pos + 1)
+
+    def members(self):
+        """Yield each key of the object whose "{" is just behind ``pos``,
+        with ``pos`` at its value, which the caller reads before the next key."""
+        c = self.char()
+        if c == "}":
+            self.pos += 1
+            return
+        while True:
+            if c != '"':
+                raise self.error("Expecting property name enclosed in double quotes")
+            key = self.value(self.string)
+            if self.char() != ":":
+                raise self.error("Expecting ':' delimiter")
+            self.pos += 1
+            self.char()
+            yield key
+            c = self.char()
+            if c == "}":
+                self.pos += 1
+                return
+            if c != ",":
+                raise self.error("Expecting ',' delimiter")
+            self.pos += 1
+            c = self.char()
+
+    def close(self):
+        """Refuse anything but whitespace after the document."""
+        if self.char():
+            raise self.error("Extra data")
+
+    def error(self, msg, at=None):
+        """The parser's error ``msg`` at index ``at`` (default ``pos``) of ``buf``."""
+        at = self.pos if at is None else at
+        exc = json.JSONDecodeError(msg, self.buf, at)
+        if self.offset:
+            exc.pos += self.offset
+            exc.lineno += self.lines
+            if self.buf.rfind("\n", 0, at) < 0:
+                exc.colno = exc.pos - self.last_nl
+            exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
+        return exc
 
 
 def _at_cells(row, z, f):

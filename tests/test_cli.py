@@ -457,9 +457,11 @@ NOT_REACHED = {
     "profiles.CheckResult.summary", "pyramid3d.anchored_region",
     "scaffold2d.RandomScaffolding.to_json", "scaffold2d.TrapeziumScaffolding.case",
     # kept because the benchmark's tracer wraps them by name: three wrappers,
-    # and `dumps`, since `scaffolding` writes its file by `dump`
+    # `dumps`, since `scaffolding` writes its file by `dump`, and `loads` and
+    # `from_json`, since `--scaffolding-file` reads its file by `load`
     "scaffold2d.build_random_scaffolding", "scaffold2d.trapezium_delta",
     "scaffold2d.trapezium_scaffolding", "scaffold2d.RandomScaffolding.dumps",
+    "scaffold2d.RandomScaffolding.loads", "scaffold2d.RandomScaffolding.from_json",
     # abstract methods, overridden by both scaffoldings
     "scaffold2d.Scaffolding.delta", "scaffold2d.Scaffolding.delta_inv",
     # reached only when a check fails
@@ -696,6 +698,18 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
     assert named in doc["error"]
 
 
+def test_a_byte_that_is_not_utf8_is_named_at_its_place_in_the_file(tmp_path, capsys):
+    from triwalks.scaffold2d import RandomScaffolding
+
+    # a 153 KB file, read in chunks of 64 Ki characters: the byte lies in the second
+    data = RandomScaffolding(12, 1).dumps().encode()
+    bad = tmp_path / "late.json"
+    bad.write_bytes(data[:100_000] + b"\xff" + data[100_000:])
+    code, human, doc = run(capsys, "verify", "--scaffolding-file", str(bad))
+    assert code == 2 and human == []
+    assert "can't decode byte 0xff in position 100000" in doc["error"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -717,6 +731,10 @@ def test_unusable_scaffolding_files_are_one_error_document(tmp_path, capsys, arg
         "verify --suite omega --max-L 2 --max-n -3",
         "enumerate triangular --L 2 --dv F --cap -1",
         "enumerate motzkin --n 2 --amplitude 2 --cap -1",
+        "sample motzkin --n 3 --amplitude -1 --seed 1",
+        "enumerate motzkin --n 2 --amplitude -1",
+        "count waffle --L -1 --n 2",
+        "map --method omega --L -2 UD",
     ],
 )
 def test_negative_sizes_are_rejected(tmp_path, capsys, monkeypatch, argv):

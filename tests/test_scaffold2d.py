@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -163,6 +164,78 @@ def test_loads_converts_each_record_while_parsing():
     one_pass = peak(lambda: RandomScaffolding.loads(text))
     two_passes = peak(lambda: RandomScaffolding.from_json(json.loads(text)))
     assert one_pass < 0.6 * two_passes
+
+
+def _read_outcome(read):
+    """What a reader gives: (L, seed, tables), or the type and text of the
+    error it raises."""
+    try:
+        scaf = read()
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return scaf.L, scaf.seed, scaf.tables
+
+
+def test_load_and_loads_read_as_json_loads_and_from_json():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def one_document(data):
+        L, seed = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+        doc = RandomScaffolding(L, seed).to_json()
+        points = data.draw(st.permutations(list(doc["tables"])))
+        doc["tables"] = {key: doc["tables"][key] for key in points}
+        if data.draw(st.booleans()):
+            note = [None, 1.5, "x", [{"cell": 1}], {"tables": []}]
+            doc["note"] = data.draw(st.sampled_from(note))
+        doc = {key: doc[key] for key in data.draw(st.permutations(list(doc)))}
+        separators = [None, (",", ":"), (" ,\n", " :\r")]
+        text = json.dumps(doc, indent=data.draw(st.sampled_from([None, 0, 2, "\t"])),
+                          separators=data.draw(st.sampled_from(separators)),
+                          ensure_ascii=data.draw(st.booleans()))
+        # one point key escaped, or repeated before itself with a value that
+        # the later one replaces
+        key = json.dumps(data.draw(st.sampled_from(points)))
+        edit = data.draw(st.sampled_from(["escape", "repeat", None]))
+        if edit == "escape":
+            text = text.replace(key, f'"\\u{ord(key[1]):04x}{key[2:]}', 1)
+        elif edit == "repeat":
+            value = data.draw(st.sampled_from(["[]", "[5]", '{"a": [}]', "null"]))
+            text = text.replace(key, f"{key}: {value}, {key}", 1)
+        end = data.draw(st.sampled_from(["cut", "junk", None]))
+        if end == "cut":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        elif end == "junk":
+            text += data.draw(st.sampled_from([" \n", "x", " {}", "]", " 0"]))
+        expected = _read_outcome(lambda: RandomScaffolding.from_json(json.loads(text)))
+        assert _read_outcome(lambda: RandomScaffolding.loads(text)) == expected
+        # a chunk of 1..64 characters, so that points straddle chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scaffold2d, "_CHUNK", data.draw(st.integers(1, 64)))
+            assert _read_outcome(lambda: RandomScaffolding.load(io.StringIO(text))) == expected
+
+    one_document()
+
+
+def test_load_of_a_file_peaks_below_its_size(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "scaffolding.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        RandomScaffolding(25, 1).dump(fh)
+    assert path.stat().st_size == 1_951_454
+    # reading the whole text first holds its 1.95 MB, and parsing it whole
+    # about 2.7 MiB more
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            scaf = RandomScaffolding.load(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scaf.tables) == 351 and peak < path.stat().st_size
 
 
 # one malformed field of one record; each makes both readers raise ValueError
