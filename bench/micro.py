@@ -4,10 +4,11 @@ ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
 behind the served counts (and each of its two engines, where the checkout
 has them), the closed-form generating function and the sampler and
 trapezium checks of ``verify``, end-to-end timings of large ``count``,
-``map`` and ``sample`` commands, of saving a random scaffolding, of mapping
-words and walks by saved files and of a fresh interpreter that imports the
-CLI, and the time and memory of the samples, of the save, of the maps and
-of reading the files back, written to a BENCH_*.json file.
+``map`` (both directions and bicolored), ``pyramid map`` and ``sample``
+commands, of saving a random scaffolding, of mapping words and walks by
+saved files and of a fresh interpreter that imports the CLI, and the time
+and memory of the samples, of the save, of the maps and of reading the
+files back, written to a BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -209,10 +210,16 @@ def rows():
     text = lattice.format_steps(walk)
     out.append(("lattice.parse_steps", {**params, "text": "format_steps(m2t image of word)"},
                 best_of(lattice.parse_steps, text)))
-    argv = "map --method trapezium --direction t2m --L 21"
-    out.append((f"cli {argv} <walk>", {**params, "argv": f"{argv} <walk>",
-                                       "walk": "format_steps(m2t image of word)"},
-                best_of(run_cli, [*argv.split(), text])))
+    # the map commands of the transducers, one per kind of input
+    for argv, slot, given, source in (
+            ("map --method trapezium --direction t2m --L 21", "walk", text,
+             "format_steps(m2t image of word)"),
+            ("map --method trapezium --direction m2t --L 21", "word", word.steps,
+             "uniform_sample(n, L, seed=1)"),
+            ("map --method trapezium --bicolored two --L 21", "colored", colored.to_word(),
+             "word colored by random.Random(1), lowercase for white")):
+        out.append((f"cli {argv} <{slot}>", {**params, "argv": f"{argv} <{slot}>", slot: source},
+                    best_of(run_cli, [*argv.split(), given])))
 
     n, L = 4_000, 25
     out.append(("sample_forward_path", {"n": n, "L": L, "seed": 1},
@@ -228,6 +235,9 @@ def rows():
     path = pyramid3d.waffle_to_pyramid(z, (0, 0), walk)
     out.append(("pyramid_to_waffle", {**params, "path": "waffle_to_pyramid(point, cell, walk)"},
                 best_of(pyramid3d.pyramid_to_waffle, z, path)))
+    argv = f"pyramid map --L {L} --cell 0,0 --walk"
+    out.append((f"cli {argv} <walk>", {**params, "argv": f"{argv} <walk>"},
+                best_of(run_cli, [*argv.split(), walk])))
 
     # the largest sizes of the perfbench count workload: motzkin, triangular
     # and waffle; each is one call of the 1-D transfer kernel

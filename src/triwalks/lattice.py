@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from .errors import BadDirectionVector, CapExceeded, NotAllowed, OutOfLattice
 
@@ -34,10 +34,11 @@ def origin(L, d=2):
 
 
 def step_vector(step, d=2):
-    """Displacement of a signed step in the (d+1)-coordinate representation."""
+    """Displacement of a signed step in the (d+1)-coordinate representation.
+    A step that is not an int in +-1..+-(d+1) raises ValueError."""
+    if type(step) is not int or not 1 <= abs(step) <= d + 1:
+        raise _bad_step(step, d)
     j = abs(step)
-    if not 1 <= j <= d + 1:
-        raise ValueError(f"step index {j} out of range for d={d}")
     v = [0] * (d + 1)
     sign = 1 if step > 0 else -1
     v[j - 1] += sign
@@ -45,24 +46,40 @@ def step_vector(step, d=2):
     return tuple(v)
 
 
-# (len(z), step) -> step_vector(step, len(z) - 1), filled by ``move``; a bad
-# step raises in step_vector and is never stored
-_STEP_VECTORS = {}
+def _bad_step(step, d):
+    """The ValueError of a step that is not an int in +-1..+-(d+1)."""
+    j = abs(step) if type(step) is int else repr(step)
+    return ValueError(f"step index {j} out of range for d={d}")
+
+
+# n -> the step-vector table of points of n coordinates: every step of that
+# dimension to its vector. Filled on first use, so importing builds nothing
+_STEP_TABLES = {}
+
+
+def _step_table(n):
+    table = _STEP_TABLES.get(n)
+    if table is None:
+        table = _STEP_TABLES[n] = {s: step_vector(s, n - 1)
+                                   for j in range(1, n + 1) for s in (j, -j)}
+    return table
 
 
 def move(z, step):
     """The point ``z`` moved by ``step``; it may leave the lattice.
 
-    The one place where a step moves a point: a backward move is
-    ``move(z, -step)``, and a step index out of range raises ValueError.
-    Points of 3 and 4 coordinates, the triangle and the pyramid, are added
-    coordinate by coordinate.
+    A backward move is ``move(z, -step)``, and a step that is not in the
+    step-vector table of ``z``'s dimension raises ValueError. Points of 3 and
+    4 coordinates, the triangle and the pyramid, are added coordinate by
+    coordinate. The walk loops below do the same arithmetic inline.
     """
     n = len(z)
     try:
-        v = _STEP_VECTORS[n, step]
-    except KeyError:
-        v = _STEP_VECTORS[n, step] = step_vector(step, n - 1)
+        v = _STEP_TABLES[n][step]
+    except KeyError:  # a dimension not met yet, or a bad step
+        v = _step_table(n).get(step)
+        if v is None:
+            raise _bad_step(step, n - 1) from None
     if n == 3:
         x1, x2, x3 = z
         v1, v2, v3 = v
@@ -76,48 +93,78 @@ def move(z, step):
 
 def run(z, state, letters, lookup):
     """Drive a scaffolding from point ``z`` in ``state``: per letter, one
-    ``lookup(z, state, letter) -> (step, state)`` and one ``move``. Returns
-    (steps, end point, end state). A refused lookup raises NotAllowed, and a
-    walk off the lattice OutOfLattice, with no check per letter: no
-    scaffolding has an entry off the lattice, so a step that leaves it fails
-    the next lookup, and a last step that leaves fails the check at the end."""
+    ``lookup(z, state, letter) -> (step, state)`` and point arithmetic, no
+    list of points. Returns (steps, end point, end state). A refused lookup
+    raises NotAllowed, and a walk off the lattice OutOfLattice, with no
+    check per letter: no scaffolding has an entry off the lattice, so a step
+    that leaves it fails the next lookup, and a last step that leaves fails
+    the check at the end. A step that ``move`` refuses raises its ValueError."""
+    n = len(z)
+    vectors = _step_table(n)
     steps = []
     try:
         for letter in letters:
             s, state = lookup(z, state, letter)
             steps.append(s)
-            z = move(z, s)
+            if n == 3:
+                (x1, x2, x3), (v1, v2, v3) = z, vectors[s]
+                z = (x1 + v1, x2 + v2, x3 + v3)
+            elif n == 4:
+                (x1, x2, x3, x4), (v1, v2, v3, v4) = z, vectors[s]
+                z = (x1 + v1, x2 + v2, x3 + v3, x4 + v4)
+            else:
+                z = tuple(map(add, z, vectors[s]))
     except NotAllowed:
         if min(z) >= 0:
             raise
+    except KeyError:
+        if not steps or steps[-1] in vectors:  # raised by the lookup
+            raise
+        raise _bad_step(steps[-1], n - 1) from None
     if min(z) < 0:
         raise OutOfLattice(f"step {len(steps)} leaves the lattice at {z}")
     return tuple(steps), z, state
 
 
 def check_forward(z, steps, error):
-    """The point before each step of the walk ``steps`` from ``z``, or
+    """The end point of the walk ``steps`` from the lattice point ``z``, or
     ``error``, the family's exception type, at the first step that is not
     forward or leaves the lattice. A forward step is an int (not a bool or a
-    float that equals one) in 1..len(z)."""
-    shape = {3: "triangle", 4: "pyramid"}.get(len(z), "lattice")
-    before = []
+    float that equals one) s in 1..len(z); it adds one to coordinate s and
+    takes one from coordinate s - 1, cyclically, which is the only one that
+    can turn negative. One pass, which keeps only the current point."""
+    n = len(z)
+    shape = {3: "triangle", 4: "pyramid"}.get(n, "lattice")
+    x = list(z)
     for s in steps:
-        if type(s) is not int or not 0 < s <= len(z):
-            raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{len(z)}")
-        before.append(z)
-        z = move(z, s)
-        if min(z) < 0:
+        if type(s) is not int or not 0 < s <= n:
+            raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{n}")
+        x[s - 1] += 1
+        x[s - 2] -= 1
+        if x[s - 2] < 0:
             raise error(f"walk leaves the {shape}")
-    return before
+    return tuple(x)
 
 
 def unrun(z, steps, state, inverse, error):
     """Undo ``run`` on the walk ``steps`` from ``z`` that ended in ``state``:
-    (start state, the letters as one string). After ``check_forward``, one
-    ``inverse(z, step, state) -> (state, letter)`` per step from the far end."""
-    before, letters = check_forward(z, steps, error), []
-    for z, s in zip(reversed(before), reversed(steps)):
+    (start state, the letters as one string). ``check_forward`` checks the
+    walk and gives its end point; from there, per step from the far end, the
+    point before it by subtracting the step, and one
+    ``inverse(z, step, state) -> (state, letter)``: no list of points."""
+    z = check_forward(z, steps, error)
+    n = len(z)
+    vectors = _step_table(n)
+    letters = []
+    for s in reversed(steps):
+        if n == 3:
+            (x1, x2, x3), (v1, v2, v3) = z, vectors[s]
+            z = (x1 - v1, x2 - v2, x3 - v3)
+        elif n == 4:
+            (x1, x2, x3, x4), (v1, v2, v3, v4) = z, vectors[s]
+            z = (x1 - v1, x2 - v2, x3 - v3, x4 - v4)
+        else:
+            z = tuple(map(sub, z, vectors[s]))
         state, letter = inverse(z, s, state)
         letters.append(letter)
     return state, "".join(reversed(letters))
@@ -139,13 +186,25 @@ def check_start(L, d, start):
 
 
 def validate_path(L, d, start, steps):
-    """All n+1 visited points, or OutOfLattice(k) for the first bad prefix."""
-    pts = [check_start(L, d, start)]
-    for k, step in enumerate(steps, start=1):
-        p = move(pts[-1], step)
-        if min(p) < 0:
-            raise OutOfLattice(f"prefix of length {k} leaves the lattice at {p}", prefix_len=k)
-        pts.append(p)
+    """All n+1 visited points, or OutOfLattice(k) for the first bad prefix.
+    A step that is not an int in +-1..+-(d+1) raises ValueError."""
+    z = check_start(L, d, start)
+    vectors = _step_table(d + 1)
+    pts = [z]
+    for k, s in enumerate(steps, start=1):
+        if type(s) is not int or s not in vectors:
+            raise _bad_step(s, d)
+        if d == 2:
+            (x1, x2, x3), (v1, v2, v3) = z, vectors[s]
+            z = (x1 + v1, x2 + v2, x3 + v3)
+        elif d == 3:
+            (x1, x2, x3, x4), (v1, v2, v3, v4) = z, vectors[s]
+            z = (x1 + v1, x2 + v2, x3 + v3, x4 + v4)
+        else:
+            z = tuple(map(add, z, vectors[s]))
+        if min(z) < 0:
+            raise OutOfLattice(f"prefix of length {k} leaves the lattice at {z}", prefix_len=k)
+        pts.append(z)
     return pts
 
 
@@ -534,8 +593,25 @@ def parse_point(text):
     return tuple(coords)
 
 
+def _step_token(s):
+    return f"s{s}" if s > 0 else f"-s{-s}"
+
+
+class _StepText(dict):
+    """Step -> its token; a step not in the table is written on demand and
+    not kept."""
+
+    def __missing__(self, s):
+        return _step_token(s)
+
+
+# the tokens of the triangle's and the pyramid's steps
+_STEP_TEXT = _StepText({s: _step_token(s) for j in range(1, 5) for s in (j, -j)})
+
+
 def format_steps(steps):
-    return " ".join(f"s{s}" if s > 0 else f"-s{-s}" for s in steps)
+    """The walk as text, ``s<k>`` or ``-s<k>`` per step, one space apart."""
+    return " ".join(map(_STEP_TEXT.__getitem__, steps))
 
 
 @functools.lru_cache(maxsize=256)

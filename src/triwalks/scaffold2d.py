@@ -10,8 +10,9 @@ cell height changes by +1/0/-1 under an up/flat/down step. Running the
 table along a Motzkin path (cell by cell, starting from the unique height-0
 cell of the origin) emits one forward lattice step per letter, and running
 it backwards inverts the map exactly: ``lattice.run`` and ``lattice.unrun``
-with ``delta`` and ``delta_inv``. Both directions make one table lookup per
-letter; ``lookup_count`` exposes that for the linear-time contract.
+with ``delta`` and ``delta_inv``. Both directions make one lookup and point
+arithmetic per letter, and hold no list of points; ``lookup_count`` exposes
+the lookups for the linear-time contract.
 
 Two constructions are provided. ``RandomScaffolding`` materializes tables by
 matching, per height class, the incoming (cell, step) pairs with the target
@@ -573,13 +574,6 @@ class TrapeziumScaffolding(Scaffolding):
         self.L = L
         self._steps = [allowed_steps(f, L) for f in range(L // 2 + 1)]
 
-    def _allows(self, x1, x2, x3, f, l, step):
-        """Whether ((f, l), step) is in A(z) for z = (x1, x2, x3): the cell lies
-        in C(z), max(0, f - x3) <= l <= min(f, x1, x2, x1 + x2 - f), and the
-        step is usable at its height. ``_domain_error`` says why not."""
-        return (0 <= l <= f and f - x3 <= l <= x1 and l <= x2 and l <= x1 + x2 - f
-                and f < len(self._steps) and step in self._steps[f])
-
     def _domain_error(self, z, f, l, step):
         """Why (cell, step) = ((f, l), step) is not in A(z), or None if it is."""
         lo, hi = cell_bounds(z, f)
@@ -590,14 +584,27 @@ class TrapeziumScaffolding(Scaffolding):
             return f"step {step} not allowed at height {f} for L={self.L}"
         return None
 
-    def delta(self, z, cell, step):
+    def _lookup(self, z, cell, step):
+        """(j, cell2) by ``trapezium_rule``, or NotAllowed unless (cell, step)
+        is in A(z) for z = (x1, x2, x3): the cell lies in C(z),
+        max(0, f - x3) <= l <= min(f, x1, x2, x1 + x2 - f), and the step is
+        usable at its height. This is the one test of the domain;
+        ``_domain_error`` says why not. Every call counts one lookup, refused
+        or not, as in ``RandomScaffolding``."""
+        self.lookup_count += 1
         x1, x2, x3 = z
         f, l = cell[0], cell[1]
-        if not self._allows(x1, x2, x3, f, l, step):
+        steps = self._steps
+        if not (0 <= l <= f and f - x3 <= l <= x1 and l <= x2 and l <= x1 + x2 - f
+                and f < len(steps) and step in steps[f]):
             raise NotAllowed(self._domain_error(z, f, l, step))
-        self.lookup_count += 1
         j, cell2, _case = trapezium_rule(x1, x2, f, l, step)
         return j, cell2
+
+    # ``delta_inv`` checks its candidate by ``_lookup`` under its own name, so
+    # that an inverse is one lookup even where ``delta`` is wrapped or
+    # overridden; an override of ``delta`` does not change ``delta_inv``
+    delta = _lookup
 
     def case(self, z, cell, step):
         err = self._domain_error(z, cell[0], cell[1], step)
@@ -623,13 +630,13 @@ class TrapeziumScaffolding(Scaffolding):
             branch of 12 (the cell (a, a)) and every other f' its down
             branch (D from (f' + 1, l' + 1)).
 
-        Any other j has no preimage. The candidate must pass the same domain
-        check as ``delta``, and one forward ``trapezium_rule`` call must give
-        back (j, cell); otherwise (j, cell) is not in the image of A(z) and
-        NotAllowed is raised.
+        Any other j has no preimage. ``_lookup`` of the candidate, the one
+        lookup of the call, must give back (j, cell): the candidate is in A(z)
+        and maps there; otherwise (j, cell) is not in the image of A(z) and
+        NotAllowed is raised. Every call counts one lookup, refused or not,
+        as in ``RandomScaffolding``.
         """
-        self.lookup_count += 1
-        a, b, c = z
+        a, b, _ = z
         f2, l2 = cell
         if j == 1:
             if f2 + l2 == a + b + 1:
@@ -657,11 +664,14 @@ class TrapeziumScaffolding(Scaffolding):
             else:
                 f, l, ch = f2 + 1, l2 + 1, "D"
         else:
+            self.lookup_count += 1  # no candidate to look up
             raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
-        if self._allows(a, b, c, f, l, ch):
-            jj, c2, _case = trapezium_rule(a, b, f, l, ch)
-            if jj == j and c2 == cell:
-                return (f, l), ch
+        try:
+            image = self._lookup(z, (f, l), ch)
+        except NotAllowed:
+            image = None
+        if image == (j, cell):
+            return (f, l), ch
         raise NotAllowed(f"({j}, {cell}) has no preimage at {z}")
 
 

@@ -1,6 +1,9 @@
+import functools
+import tracemalloc
+
 import pytest
 
-from triwalks import lattice
+from triwalks import lattice, pyramid3d, scaffold2d
 from triwalks.errors import CapExceeded, OutOfLattice
 
 from conftest import brute_forward, brute_generic
@@ -28,6 +31,38 @@ def test_validate_path():
     with pytest.raises(OutOfLattice) as exc:
         lattice.validate_path(2, 2, (0, 0, 2), (1, 1, 1))
     assert exc.value.prefix_len == 3
+
+
+@pytest.mark.parametrize("steps, bad", [
+    ((True, 1.0), "True"),
+    ((1, 1.0), "1.0"),
+    (("s1",), "'s1'"),
+    ((1, 0), "0"),
+    ((1, -4), "4"),
+])
+def test_validate_path_refuses_steps_that_are_not_ints(steps, bad):
+    # a bool or a float equal to a step is no step, and a string is the same
+    # ValueError as an index out of range, not a TypeError from abs()
+    with pytest.raises(ValueError) as exc:
+        lattice.validate_path(3, 2, (0, 0, 3), steps)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"step index {bad} out of range for d=2"
+
+
+def test_walk_inverses_hold_no_list_of_points():
+    # one point per letter would take a tuple and its list slot, over 70
+    # bytes a letter; the letters and their string take about 17
+    cases = [(scaffold2d.TrapeziumScaffolding(21).triangular_to_motzkin, (1, 2, 3) * 33333 + (1,)),
+             (functools.partial(pyramid3d.pyramid_to_waffle, lattice.origin(12, 3)),
+              (1, 2, 3, 4) * 2500)]
+    for inverse, walk in cases:
+        tracemalloc.start()
+        try:
+            inverse(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * len(walk), (len(walk), peak)
 
 
 def test_count_paths_paper_values():

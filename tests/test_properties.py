@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import brute_generic  # noqa: E402
 from triwalks import cli, flips, lattice, motzkin, omega, pyramid3d  # noqa: E402
-from triwalks.errors import TriwalksError  # noqa: E402
+from triwalks.errors import InvalidWalk, NotAllowed, OutOfLattice, TriwalksError  # noqa: E402
 from triwalks.scaffold2d import RandomScaffolding, TrapeziumScaffolding  # noqa: E402
 
 
@@ -359,3 +359,149 @@ def test_walker_kernel_equals_the_pyramid_and_waffle_dps(data, L, n):
             mp.setattr(lattice, "POWER_CROSSOVER", crossover)
             assert (pyramid3d.forward_count(L, z, n), pyramid3d.count_waffle_walks(L, n, start),
                     pyramid3d.count_waffle_walks_to(L, n, start, end)) == want, crossover
+
+
+# -- the walk loops of ``lattice`` against a ``move`` per letter ----------------
+
+SHAPES = {3: "triangle", 4: "pyramid"}
+
+
+def move_run(z, state, letters, lookup):
+    """``lattice.run`` as one ``move`` per letter."""
+    steps = []
+    try:
+        for letter in letters:
+            s, state = lookup(z, state, letter)
+            steps.append(s)
+            z = lattice.move(z, s)
+    except NotAllowed:
+        if min(z) >= 0:
+            raise
+    if min(z) < 0:
+        raise OutOfLattice(f"step {len(steps)} leaves the lattice at {z}")
+    return tuple(steps), z, state
+
+
+def move_points(z, steps, error):
+    """The point before each step of a forward walk, by ``move``, or ``error``
+    at the first step that is not forward or leaves the lattice."""
+    shape = SHAPES.get(len(z), "lattice")
+    before = []
+    for s in steps:
+        if type(s) is not int or not 0 < s <= len(z):
+            raise error(f"bad step {s!r}: a {shape} walk takes forward steps 1-{len(z)}")
+        before.append(z)
+        z = lattice.move(z, s)
+        if min(z) < 0:
+            raise error(f"walk leaves the {shape}")
+    return before, z
+
+
+def move_unrun(z, steps, state, inverse, error):
+    """``lattice.unrun`` over the list of points that ``move`` visits."""
+    before, _ = move_points(z, steps, error)
+    letters = []
+    for z, s in zip(reversed(before), reversed(steps)):
+        state, letter = inverse(z, s, state)
+        letters.append(letter)
+    return state, "".join(reversed(letters))
+
+
+def move_validate_path(L, d, start, steps):
+    """``lattice.validate_path`` by ``move``, which takes any key of its table,
+    after the check that every step is an int."""
+    pts = [lattice.check_start(L, d, start)]
+    for k, s in enumerate(steps, start=1):
+        if type(s) is not int:
+            raise ValueError(f"step index {s!r} out of range for d={d}")
+        p = lattice.move(pts[-1], s)
+        if min(p) < 0:
+            raise OutOfLattice(f"prefix of length {k} leaves the lattice at {p}", prefix_len=k)
+        pts.append(p)
+    return pts
+
+
+def outcome(fn, *args):
+    """("ok", the result), or the exception's type, text and prefix_len."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared whole, whatever the type
+        return type(exc), str(exc), getattr(exc, "prefix_len", None)
+
+
+@st.composite
+def lattice_walks(draw):
+    """(d, L, start, steps, refused): a start in the triangle or pyramid of side
+    L <= 8, a forward walk from it that stays inside, then up to four steps
+    of any kind (backward, 0, d + 2, True, 1.0, or forward), and the index of
+    the letter that the lookup of the ``run`` check refuses (past the end:
+    none)."""
+    d = draw(st.sampled_from((2, 3)))
+    L = draw(st.integers(0, 8))
+    z = draw(st.sampled_from(lattice.all_points(L, d)))
+    p, steps = z, []
+    for pick in draw(st.lists(st.integers(0, 2**16), max_size=80)):
+        options = [s for s in range(1, d + 2) if min(lattice.move(p, s)) >= 0]
+        if not options:
+            break
+        steps.append(options[pick % len(options)])
+        p = lattice.move(p, steps[-1])
+    any_step = st.sampled_from([*range(-d - 1, d + 2), d + 2, True, 1.0])
+    steps += draw(st.lists(any_step, max_size=4))
+    return d, L, z, tuple(steps), draw(st.integers(0, len(steps) + 8))
+
+
+@settings(max_examples=300)
+@given(lattice_walks())
+def test_walk_loops_equal_a_move_per_letter(case):
+    d, L, z, steps, refused = case
+    assert (outcome(lattice.validate_path, L, d, z, steps)
+            == outcome(move_validate_path, L, d, z, steps))
+    assert (outcome(lattice.check_forward, z, steps, InvalidWalk)
+            == outcome(lambda *a: move_points(*a)[1], z, steps, InvalidWalk))
+
+    def lookup(p, state, k):  # emits the k-th step; the state lists every point
+        if k == refused:
+            raise NotAllowed(f"letter {k} refused at {p}")
+        return steps[k], state + (p,)
+
+    letters = range(len(steps))
+    assert outcome(lattice.run, z, (), letters, lookup) == outcome(move_run, z, (), letters, lookup)
+
+    def inverse(p, s, state):
+        return state + ((p, s),), "ab"[s % 2]
+
+    assert (outcome(lattice.unrun, z, steps, (), inverse, InvalidWalk)
+            == outcome(move_unrun, z, steps, (), inverse, InvalidWalk))
+
+
+@settings(max_examples=30)
+@given(scaffolded_paths(), BAD_STEPS)
+def test_transducer_loops_equal_a_move_per_letter(case, steps):
+    drawn, word = case
+    origin = lattice.origin(drawn.L)
+    for scaf in (TrapeziumScaffolding(drawn.L), RandomScaffolding(drawn.L, seed=8)):
+        results = []
+        for run, unrun in ((lattice.run, lattice.unrun), (move_run, move_unrun)):
+            before = scaf.lookup_count
+            image = outcome(run, origin, (0, 0), word.steps, scaf.delta)
+            assert scaf.lookup_count - before == len(word)
+            walk = image[1][0]
+            before = scaf.lookup_count
+            back = outcome(unrun, origin, walk, (0, 0), scaf.delta_inv, OutOfLattice)
+            assert scaf.lookup_count - before == len(word)
+            assert back == ("ok", ((0, 0), word.steps))
+            results.append((image, outcome(unrun, origin, steps, (0, 0), scaf.delta_inv,
+                                           OutOfLattice)))
+        assert results[0] == results[1]
+
+
+@settings(max_examples=30)
+@given(waffle_walks(), BAD_STEPS)
+def test_pyramid_loops_equal_a_move_per_letter(case, steps):
+    z, cell, walk = case
+    image = outcome(lattice.run, z, cell, walk, pyramid3d._lookup)
+    assert image == outcome(move_run, z, cell, walk, pyramid3d._lookup)
+    for path in (image[1][0], steps):
+        assert (outcome(lattice.unrun, z, path, (0, 0), pyramid3d.diamond_delta_inv, InvalidWalk)
+                == outcome(move_unrun, z, path, (0, 0), pyramid3d.diamond_delta_inv, InvalidWalk))

@@ -411,6 +411,32 @@ def test_lookup_counter_linear():
     assert scaf.lookup_count - before == 9
 
 
+def test_every_lookup_counts_one_refused_or_not():
+    # both scaffoldings count one lookup per delta and delta_inv call, also
+    # where the call is refused: a cell off C(z), a step not allowed, a j with
+    # no candidate, and a candidate that is in A(z) but maps elsewhere
+    L = 4
+    scafs = (TrapeziumScaffolding(L), RandomScaffolding(L, seed=1))
+    cells = [(f, l) for f in range(-1, 4) for l in range(-1, 4)]
+    refused = {scaf: 0 for scaf in scafs}
+    for z in lattice.all_points(L):
+        for scaf in scafs:
+            calls = [(scaf.delta, (z, cell, step))
+                     for cell in cells for step in ("U", "F", "D", "X")]
+            calls += [(scaf.delta_inv, (z, j, cell))
+                      for j in (-1, 0, 1, 2, 3, 4) for cell in cells]
+            for lookup, args in calls:
+                before = scaf.lookup_count
+                try:
+                    lookup(*args)
+                except NotAllowed:
+                    refused[scaf] += 1
+                assert scaf.lookup_count - before == 1, (lookup.__name__, args)
+    # the two scaffoldings share A(z) and its image, so they refuse alike
+    refused = list(refused.values())
+    assert refused[0] == refused[1] > 0
+
+
 def test_prefix_property():
     scaf = TrapeziumScaffolding(4)
     words = motzkin.enumerate_meanders(6, 4, 0)
