@@ -1,14 +1,14 @@
 """Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
 scaffolding transducers (trapezium both ways and bicolored, random both
 ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
-behind the served counts (and each of its two engines, where the checkout
-has them), the closed-form generating function and the sampler and
-trapezium checks of ``verify``, end-to-end timings of large ``count``,
-``map`` (both directions and bicolored), ``pyramid map`` and ``sample``
-commands, of saving a random scaffolding, of mapping words and walks by
-saved files and of a fresh interpreter that imports the CLI, and the time
-and memory of the samples, of the save, of the maps and of reading the
-files back, written to a BENCH_*.json file.
+behind the served counts and each of its two engines, the closed-form
+generating function and the sampler and trapezium checks of ``verify``,
+end-to-end timings of large ``count``, ``map`` (both directions and
+bicolored), ``pyramid map`` and ``sample`` commands, of saving a random
+scaffolding, of mapping words and walks by saved files and of a fresh
+interpreter that imports the CLI, and the time and memory of the samples,
+of the save, of the maps and of reading the files back (and of refusing
+one), written to a BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -31,9 +31,10 @@ rows start a new interpreter with the same PYTHONPATH: bare, and importing
 25, both directions) and the rows that read a saved scaffolding also store
 the peak of memory allocated during one more, untimed call
 (``tracemalloc``), in bytes. Those read the L = 25 file's text by
-``RandomScaffolding.loads``, and the L = 25 and L = 40 files as a
-command once read them (the text, then ``loads``) and, where the checkout
-has it, by ``RandomScaffolding.load`` on the open file.
+``RandomScaffolding.loads``, the L = 25 and L = 40 files as a command
+once read them (the text, then ``loads``) and by ``RandomScaffolding.load``
+on the open file, and a copy of the L = 25 file with one syntax error near
+its end, which ``load`` refuses.
 """
 
 from __future__ import annotations
@@ -128,20 +129,25 @@ def run_cli(argv):
             raise RuntimeError(f"triwalks {' '.join(argv)} failed")
 
 
-def file_readers():
-    """(row name, reader of a scaffolding file path): the text read whole and
-    then ``loads``, and ``load`` on the open file where the checkout has it."""
-    def read_text_loads(path):
-        with open(path, encoding="utf-8") as fh:
-            return scaffold2d.RandomScaffolding.loads(fh.read())
+def read_text_loads(path):
+    """The text of a scaffolding file read whole, and then ``loads``."""
+    with open(path, encoding="utf-8") as fh:
+        return scaffold2d.RandomScaffolding.loads(fh.read())
 
-    def load(path):
-        with open(path, encoding="utf-8") as fh:
-            return scaffold2d.RandomScaffolding.load(fh)
 
-    yield "read + RandomScaffolding.loads", read_text_loads
-    if hasattr(scaffold2d.RandomScaffolding, "load"):
-        yield "RandomScaffolding.load", load
+def load(path):
+    """``load`` on the open scaffolding file."""
+    with open(path, encoding="utf-8") as fh:
+        return scaffold2d.RandomScaffolding.load(fh)
+
+
+def load_refused(path):
+    """``load`` on a file that it must refuse by a ValueError."""
+    try:
+        load(path)
+    except ValueError:
+        return
+    raise RuntimeError(f"{path} was read")
 
 
 def moves(pairs):
@@ -163,10 +169,7 @@ def engine_rows():
     """Both engines of ``lattice.tridiagonal_power`` on a Motzkin strip (one
     start vector, diagonal 1 but 0 at the top) and on the +-1 walker (two
     start vectors, diagonal 0), for N = 3, 13 and 43 entries, at half, once
-    and twice the n where the kernel switches engine. None for a checkout
-    without the kernel."""
-    if not hasattr(lattice, "tridiagonal_power"):
-        return []
+    and twice the n where the kernel switches engine."""
     out = []
     for N in (3, 13, 43):
         shapes = (("strip", [1] * (N - 1) + [0], [[1] + [0] * (N - 1)]),
@@ -289,13 +292,22 @@ def rows():
         for L in (18, 40):
             paths[L] = os.path.join(tmp, f"scaffolding_L{L}.json")
             run_cli(["scaffolding", "--L", str(L), "--seed", "1", "--out", paths[L]])
-        # the whole read of a file, as the CLI reads it in each checkout:
-        # its text and then loads, or load on the open file where it exists
-        for L in (25, 40):
-            for name, read in file_readers():
-                out.append({"name": name, "params": {"file": f"cli scaffolding --L {L} --seed 1"},
-                            "seconds": round(best_of(read, paths[L]), 6),
-                            "tracemalloc_peak_bytes": peak_bytes(read, paths[L])})
+        # the whole read of a file: its text and then loads, as the CLI once
+        # read it, and load on the open file, as it reads it now; and load
+        # refusing the L = 25 file with one syntax error near its end
+        refused = os.path.join(tmp, "refused.json")
+        with open(refused, "w") as fh:
+            fh.write(text[:-3] + "x" + text[-2:])
+        reads = [(name, read, f"cli scaffolding --L {L} --seed 1", paths[L])
+                 for L in (25, 40)
+                 for name, read in (("read + RandomScaffolding.loads", read_text_loads),
+                                    ("RandomScaffolding.load", load))]
+        reads.append(("RandomScaffolding.load, refused", load_refused,
+                      "cli scaffolding --L 25 --seed 1, one syntax error near its end", refused))
+        for name, read, source, file in reads:
+            out.append({"name": name, "params": {"file": source},
+                        "seconds": round(best_of(read, file), 6),
+                        "tracemalloc_peak_bytes": peak_bytes(read, file)})
         # a word and a walk of the file's own scaffolding, mapped by the file
         n = 6_000
         for L in (18, 25):

@@ -90,23 +90,12 @@ def _load_scaffolding(path):
             return scaffold2d.RandomScaffolding.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read the scaffolding file: {exc}") from None
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         # not UTF-8; the repr would repeat every byte of the file
-        raise UsageError(f"{path} is not a scaffolding file: {_utf8_error(path)}") from None
+        raise UsageError(f"{path} is not a scaffolding file: {exc}") from None
     # RecursionError: nested too deep for the JSON parser
     except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a scaffolding file: {exc!r}") from None
-
-
-def _utf8_error(path):
-    """The error of decoding all of ``path`` as UTF-8: a file read in chunks
-    counts the position of a bad byte from the start of its chunk, this one
-    from the start of the file."""
-    try:
-        pathlib.Path(path).read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return exc
-    return "not UTF-8"
 
 
 def _served_count(d):

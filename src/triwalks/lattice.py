@@ -597,27 +597,8 @@ def _step_token(s):
     return f"s{s}" if s > 0 else f"-s{-s}"
 
 
-class _StepText(dict):
-    """Step -> its token; a step not in the table is written on demand and
-    not kept."""
-
-    def __missing__(self, s):
-        return _step_token(s)
-
-
-# the tokens of the triangle's and the pyramid's steps
-_STEP_TEXT = _StepText({s: _step_token(s) for j in range(1, 5) for s in (j, -j)})
-
-
-def format_steps(steps):
-    """The walk as text, ``s<k>`` or ``-s<k>`` per step, one space apart."""
-    return " ".join(map(_STEP_TEXT.__getitem__, steps))
-
-
-@functools.lru_cache(maxsize=256)
 def _token(tok):
-    """The signed step written ``s<k>`` or ``-s<k>``; memoised, since a walk
-    repeats a handful of tokens."""
+    """The signed step written ``s<k>`` or ``-s<k>``."""
     neg = tok.startswith("-")
     body = tok[1:] if neg else tok
     # isdecimal, not isdigit: int() reads no superscript or other digit sign
@@ -630,5 +611,27 @@ def _token(tok):
     return -j if neg else j
 
 
+class _Table(dict):
+    """key -> ``compute(key)``, filled for ``keys``; any other key is
+    computed on demand and not kept."""
+
+    def __init__(self, compute, keys):
+        super().__init__((key, compute(key)) for key in keys)
+        self.compute = compute
+
+    def __missing__(self, key):
+        return self.compute(key)
+
+
+# the steps of the triangle and the pyramid, and their tokens
+_STEP_TEXT = _Table(_step_token, [s for j in range(1, 5) for s in (j, -j)])
+_TEXT_STEP = _Table(_token, _STEP_TEXT.values())
+
+
+def format_steps(steps):
+    """The walk as text, ``s<k>`` or ``-s<k>`` per step, one space apart."""
+    return " ".join(map(_STEP_TEXT.__getitem__, steps))
+
+
 def parse_steps(text):
-    return tuple(map(_token, text.split()))
+    return tuple(map(_TEXT_STEP.__getitem__, text.split()))

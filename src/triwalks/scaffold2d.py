@@ -136,22 +136,26 @@ class RandomScaffolding(Scaffolding):
 
         {"cell": [f, l], "out_cell": [f', l'], "out_step": "s<j>", "step": "<U|F|D>"}
 
-    ``load`` and ``loads`` read point by point: ``load`` takes the file
-    ``_CHUNK`` characters at a time, and each point's list of records
-    becomes that point's table as soon as it is parsed, so neither the
-    file's text nor a parse of the whole document is ever held; the read
-    keeps the tables, the memo and the text of about one chunk. They accept
-    and refuse the same documents as ``from_json(json.loads(text))``, with
-    the same errors: any whitespace, key order or escapes, the last of
-    repeated keys, nothing but whitespace after the document. ``from_json``
-    converts the records of a parsed document by the same per-point
-    builder. ``L`` must be an int >= 0 (not a bool), every key a point of the
-    triangle of side L, and every record must have a step in U, F, D, an
-    out_step in s1, s2, s3 and cells that are pairs of integers, or
-    ValueError is raised (KeyError for a missing field). A record that
-    breaks the bijection (two records onto one target, say) is read as
-    written, so that ``validate_scaffolding`` can report it. ``inverse`` is
-    built on the first ``delta_inv`` call.
+    ``load`` and ``loads`` read a well-formed document point by point:
+    ``load`` takes the file ``_CHUNK`` characters at a time, and each
+    point's list of records becomes that point's table as soon as it is
+    parsed, so a valid file's text and a parse of the whole document are
+    never held; the read keeps the tables, the memo and the text of about
+    one chunk. At the first thing this scan does not read (a syntax error, a
+    byte that is not UTF-8, a bad record, key or L, trailing data) they read
+    the text again whole, ``load`` from where ``fh`` stood, and return
+    ``from_json(json.loads(text))``: a refused file is held whole and
+    refused with the reference's own error. So they accept and refuse the
+    same documents as ``from_json(json.loads(text))``, with the same errors:
+    any whitespace, key order or escapes, the last of repeated keys, nothing
+    but whitespace after the document. ``from_json`` converts the records of
+    a parsed document by the same per-point builder. ``L`` must be an
+    int >= 0 (not a bool), every key a point of the triangle of side L, and
+    every record must have a step in U, F, D, an out_step in s1, s2, s3 and
+    cells that are pairs of integers, or ValueError is raised (KeyError for
+    a missing field). A record that breaks the bijection (two records onto
+    one target, say) is read as written, so that ``validate_scaffolding``
+    can report it. ``inverse`` is built on the first ``delta_inv`` call.
     """
 
     def __init__(self, L, seed=None, tables=None):
@@ -275,45 +279,55 @@ class RandomScaffolding(Scaffolding):
 
     @classmethod
     def load(cls, fh):
-        """Read the text file ``fh``, ``_CHUNK`` characters at a time."""
-        return cls._read("", fh.read)
+        """Read the text file ``fh`` from where it stands, ``_CHUNK``
+        characters at a time; ``fh`` must be seekable."""
+        start = fh.tell()
+        try:
+            return cls._scan("", fh.read)
+        except _UNREAD:
+            pass
+        # re-read after the except block, whose traceback holds the scan's text
+        fh.seek(start)
+        return cls.from_json(json.loads(fh.read()))
 
     @classmethod
     def loads(cls, text):
-        return cls._read(text, None)
+        try:
+            return cls._scan(text, None)
+        except _UNREAD:
+            pass
+        return cls.from_json(json.loads(text))
 
     @classmethod
-    def _read(cls, text, read):
-        """Read a document point by point: ``text``, then what ``read(size)``
-        returns until it returns "" (no ``read``: ``text`` is all of it).
+    def _scan(cls, text, read):
+        """Read a well-formed document point by point: ``text``, then what
+        ``read(size)`` returns until it returns "" (no ``read``: ``text`` is
+        all of it).
 
         Only the top-level object and its ``"tables"`` object are scanned
         here; every other value goes to the JSON parser, and each point's
-        list becomes that point's table as soon as it is parsed. The checks
-        of ``from_json`` wait for the end of the document, since L may come
-        after the tables and a repeated key replaces an earlier value, so
-        a document is accepted, or refused with the same error, exactly as
-        by ``from_json(json.loads(text))``.
+        list becomes that point's table as soon as it is parsed. Anything
+        else raises one of ``_UNREAD``: a syntax error, a byte that is not
+        UTF-8, a bad record, key or L, trailing data. ``load`` and ``loads``
+        then read the text whole, by ``from_json(json.loads(text))``.
         """
         src = _Reader(text, read)
-        if not src.opens_object():
-            return cls.from_json(json.loads(src.rest()))
         doc, share = {}, {}.setdefault
         for key in src.members():
-            if key != "tables" or src.char() != "{":
+            if key == "tables" and src.char() == "{":
+                doc[key] = tables = {}
+                for point in src.members():
+                    tables[point] = _table(point, src.value(), share)
+            else:
                 doc[key] = src.value()
-                continue
-            src.pos += 1
-            doc[key] = tables = {}  # key -> its table, or the error its value raised
-            for point in src.members():
-                recs = src.value()
-                try:
-                    tables[point] = _table(point, recs, share)
-                except (KeyError, TypeError, ValueError) as exc:
-                    tables[point] = exc
-        src.close()
-        return cls._assemble(doc, _built)
+        if src.char():
+            raise ValueError("Extra data")
+        return cls._assemble(doc, lambda key, table: table)
 
+
+# the errors on which ``RandomScaffolding._scan`` gives up and the text is
+# read whole; UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+_UNREAD = (KeyError, TypeError, AttributeError, ValueError, RecursionError)
 
 # (step, out_step) of a valid record -> the forward step index j
 _STEP_PAIRS = {(step, f"s{j}"): j for step in "UFD" for j in (1, 2, 3)}
@@ -325,13 +339,6 @@ def _table(key, recs, share):
     if type(recs) is not list:
         raise ValueError(f"table {key} is not a list of records")
     return dict([_record(rec, share) for rec in recs])
-
-
-def _built(key, table):
-    """A table that ``_read`` built, or the error its records raised."""
-    if isinstance(table, Exception):
-        raise table
-    return table
 
 
 def _record(rec, share):
@@ -377,15 +384,10 @@ _CHUNK = 1 << 16
 class _Reader:
     """A JSON text, ``text`` and then what ``read(size)`` returns, of which
     only the part not yet parsed is kept: ``buf`` from index ``pos`` on.
-
-    The parser's errors name their place in the whole text, as in
-    ``json.loads``: ``offset`` characters, ``lines`` of them newlines, were
-    dropped before ``buf``, the last newline at index ``last_nl``.
-    """
+    What it cannot read raises ValueError, whose text no caller shows."""
 
     def __init__(self, text, read):
         self.buf, self.pos, self.read = text, 0, read
-        self.offset, self.lines, self.last_nl = 0, 0, -1
         self.space = json.decoder.WHITESPACE.match
         self.decode = json.JSONDecoder().raw_decode
 
@@ -398,28 +400,8 @@ class _Reader:
         if not chunk:
             self.read = None
             return False
-        done, self.pos = self.pos, 0
-        self.lines += self.buf.count("\n", 0, done)
-        nl = self.buf.rfind("\n", 0, done)
-        if nl >= 0:
-            self.last_nl = self.offset + nl
-        self.offset += done
-        self.buf = self.buf[done:] + chunk
+        self.buf, self.pos = self.buf[self.pos:] + chunk, 0
         return True
-
-    def opens_object(self):
-        """Whether the text is "{" after whitespace, then moving past it;
-        nothing is dropped before it, so ``rest`` is still the whole text."""
-        while True:
-            start = self.space(self.buf).end()
-            if start < len(self.buf) or not self.more():
-                break
-        self.pos = start + 1
-        return self.buf[start:start + 1] == "{"
-
-    def rest(self):
-        """The whole text, read to the end; only before anything is dropped."""
-        return self.buf + (self.read() if self.read else "")
 
     def char(self):
         """The next character that is not whitespace, "" at the end; ``pos`` moves to it."""
@@ -428,25 +410,18 @@ class _Reader:
             if self.pos < len(self.buf) or not self.more():
                 return self.buf[self.pos:self.pos + 1]
 
-    def value(self, parse=None):
-        """The JSON value at ``pos``, parsed by ``parse`` (default: the JSON
-        parser), reading on while it may be cut short; ``pos`` moves past it.
-
-        A value that does not parse is retried until the end of the file,
-        so that bytes that are not UTF-8 anywhere raise first, as when the
-        whole file is decoded before it is parsed."""
-        parse = parse or self.decode
+    def value(self):
+        """The JSON value at ``pos``, reading on while it may be cut short;
+        ``pos`` moves past it."""
         if len(self.buf) - self.pos < _CHUNK // 2:
             # read ahead, so that a value shorter than half a chunk is never cut
             self.more()
         while True:
             try:
-                value, end = parse(self.buf, self.pos)
-            except (ValueError, RecursionError) as exc:
+                value, end = self.decode(self.buf, self.pos)
+            except (ValueError, RecursionError):
                 if self.more():
                     continue
-                if isinstance(exc, json.JSONDecodeError):
-                    raise self.error(exc.msg, exc.pos) from None
                 raise
             # a number cut short may go on past a ".", "e" or "e+" that
             # the parser leaves behind
@@ -454,24 +429,22 @@ class _Reader:
                 self.pos = end
                 return value
 
-    @staticmethod
-    def string(text, pos):
-        """The JSON string whose quote is at ``pos``, and the index past it."""
-        return json.decoder.scanstring(text, pos + 1)
-
     def members(self):
-        """Yield each key of the object whose "{" is just behind ``pos``,
-        with ``pos`` at its value, which the caller reads before the next key."""
+        """Yield each key of the object at ``pos``, with ``pos`` at its value,
+        which the caller reads before the next key."""
+        if self.char() != "{":
+            raise ValueError("Expecting '{'")
+        self.pos += 1
         c = self.char()
         if c == "}":
             self.pos += 1
             return
         while True:
             if c != '"':
-                raise self.error("Expecting property name enclosed in double quotes")
-            key = self.value(self.string)
+                raise ValueError("Expecting property name enclosed in double quotes")
+            key = self.value()
             if self.char() != ":":
-                raise self.error("Expecting ':' delimiter")
+                raise ValueError("Expecting ':' delimiter")
             self.pos += 1
             self.char()
             yield key
@@ -480,26 +453,9 @@ class _Reader:
                 self.pos += 1
                 return
             if c != ",":
-                raise self.error("Expecting ',' delimiter")
+                raise ValueError("Expecting ',' delimiter")
             self.pos += 1
             c = self.char()
-
-    def close(self):
-        """Refuse anything but whitespace after the document."""
-        if self.char():
-            raise self.error("Extra data")
-
-    def error(self, msg, at=None):
-        """The parser's error ``msg`` at index ``at`` (default ``pos``) of ``buf``."""
-        at = self.pos if at is None else at
-        exc = json.JSONDecodeError(msg, self.buf, at)
-        if self.offset:
-            exc.pos += self.offset
-            exc.lineno += self.lines
-            if self.buf.rfind("\n", 0, at) < 0:
-                exc.colno = exc.pos - self.last_nl
-            exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
-        return exc
 
 
 def _at_cells(row, z, f):

@@ -979,7 +979,7 @@ def _fuzz_strategies():
     steps = st.lists(st.sampled_from(["s1", "s2", "s3", "-s1", "-s2", "-s3", "s0", "s4", "s"]),
                      max_size=6).map(" ".join)
     files = st.sampled_from(["{dir}/valid.json", "{dir}/off.json", "{dir}/junk.json",
-                             "{dir}/missing.json"])
+                             "{dir}/cut.json", "{dir}/not_utf8.json", "{dir}/missing.json"])
     # the values of each flag, whichever command reads it
     values = {
         "--n": size, "--amplitude": size, "--start-height": size, "--L": size, "--d": size,
@@ -1030,7 +1030,11 @@ def fuzz_dir(tmp_path_factory):
     from triwalks.scaffold2d import RandomScaffolding
 
     base = tmp_path_factory.mktemp("fuzz")
-    (base / "valid.json").write_text(RandomScaffolding(3, 5).dumps())
+    valid = RandomScaffolding(3, 5).dumps()
+    (base / "valid.json").write_text(valid)
+    # files that the point-by-point read gives up on and reads again whole
+    (base / "cut.json").write_text(valid[:len(valid) // 2])
+    (base / "not_utf8.json").write_bytes(valid[:100].encode() + b"\xff" + valid[100:].encode())
     off = RandomScaffolding(1, 0).to_json()
     off["tables"]["0,0,1"][0]["out_step"] = "s2"  # steps off the triangle
     (base / "off.json").write_text(json.dumps(off))

@@ -194,7 +194,7 @@ STEP_TOKENS = {
              for t in STEP_TOKENS])
 def test_parse_steps_token_table(text):
     want = STEP_TOKENS[text]
-    for _ in range(2):  # the second call reads the memoised token
+    for _ in range(2):  # the second call sees nothing kept by the first
         if isinstance(want, str):
             with pytest.raises(ValueError) as exc:
                 lattice.parse_steps(text)

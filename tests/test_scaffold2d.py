@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -176,6 +177,10 @@ def _read_outcome(read):
     return scaf.L, scaf.seed, scaf.tables
 
 
+def _not_called(doc):
+    raise AssertionError("the document was read again whole")
+
+
 def test_load_and_loads_read_as_json_loads_and_from_json():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
@@ -196,27 +201,67 @@ def test_load_and_loads_read_as_json_loads_and_from_json():
                           separators=data.draw(st.sampled_from(separators)),
                           ensure_ascii=data.draw(st.booleans()))
         # one point key escaped, or repeated before itself with a value that
-        # the later one replaces
+        # the later one replaces; one character replaced; or a "tables"
+        # member before the real one, which replaces it
         key = json.dumps(data.draw(st.sampled_from(points)))
-        edit = data.draw(st.sampled_from(["escape", "repeat", None]))
+        edit = data.draw(st.sampled_from(["escape", "repeat", "char", "tables", None]))
+        value = None
         if edit == "escape":
             text = text.replace(key, f'"\\u{ord(key[1]):04x}{key[2:]}', 1)
         elif edit == "repeat":
             value = data.draw(st.sampled_from(["[]", "[5]", '{"a": [}]', "null"]))
             text = text.replace(key, f"{key}: {value}, {key}", 1)
+        elif edit == "char":
+            at = data.draw(st.integers(0, len(text) - 1))
+            text = text[:at] + data.draw(st.sampled_from('{}[]:,"0 x-.e')) + text[at + 1:]
+        elif edit == "tables":
+            extra = data.draw(st.sampled_from(["[]", "{}", f"{{{key}: []}}"]))
+            text = re.sub(r'"tables"(?=\s*:\s*\{)', f'"tables": {extra}, "tables"', text, count=1)
         end = data.draw(st.sampled_from(["cut", "junk", None]))
         if end == "cut":
             text = text[:data.draw(st.integers(0, len(text)))]
         elif end == "junk":
             text += data.draw(st.sampled_from([" \n", "x", " {}", "]", " 0"]))
         expected = _read_outcome(lambda: RandomScaffolding.from_json(json.loads(text)))
-        assert _read_outcome(lambda: RandomScaffolding.loads(text)) == expected
-        # a chunk of 1..64 characters, so that points straddle chunks
         with pytest.MonkeyPatch.context() as mp:
+            # a document that the reference accepts is read by the scan alone,
+            # without the reference, unless a point's value that a later one
+            # replaces is no table
+            if type(expected[0]) is int and value not in ("[5]", "null"):
+                mp.setattr(RandomScaffolding, "from_json", _not_called)
+            assert _read_outcome(lambda: RandomScaffolding.loads(text)) == expected
+            # a chunk of 1..64 characters, so that points straddle chunks
             mp.setattr(scaffold2d, "_CHUNK", data.draw(st.integers(1, 64)))
             assert _read_outcome(lambda: RandomScaffolding.load(io.StringIO(text))) == expected
 
     one_document()
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_load_reads_on_from_where_the_file_stands(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(scaffold2d, "_CHUNK", chunk)
+    lead = "leading text, \u00e9 \n"
+    valid = RandomScaffolding(3, 5).dumps()
+    for rest, how in ((valid, "scan"), (valid[:-40] + "x" + valid[-39:], "syntax"),
+                      (valid.replace('"seed"', '"L": -1, "seed"'), "L")):
+        path = tmp_path / "scaffolding.json"
+        path.write_text(lead + rest, encoding="utf-8")
+        expected = _read_outcome(lambda: RandomScaffolding.from_json(json.loads(rest)))
+        assert (type(expected[0]) is int) == (how == "scan")
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read(len(lead)) == lead
+            assert _read_outcome(lambda: RandomScaffolding.load(fh)) == expected
+        fh = io.StringIO(lead + rest)
+        fh.read(len(lead))
+        assert _read_outcome(lambda: RandomScaffolding.load(fh)) == expected
+    # a byte that is not UTF-8, past the buffer that the first read decodes,
+    # is named at its place after the read text
+    data = RandomScaffolding(12, 1).dumps().encode()
+    path.write_bytes(lead.encode() + data[:100_000] + b"\xff" + data[100_000:])
+    with open(path, encoding="utf-8") as fh:
+        fh.read(len(lead))
+        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 100000:"):
+            RandomScaffolding.load(fh)
 
 
 def test_load_of_a_file_peaks_below_its_size(tmp_path):
