@@ -2,13 +2,16 @@
 scaffolding transducers (trapezium both ways and bicolored, random both
 ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
 behind the served counts and each of its two engines, the closed-form
-generating function and the sampler and trapezium checks of ``verify``,
-end-to-end timings of large ``count``, ``map`` (both directions and
-bicolored), ``pyramid map`` and ``sample`` commands, of saving a random
-scaffolding, of mapping words and walks by saved files and of a fresh
-interpreter that imports the CLI, and the time and memory of the samples,
-of the save, of the maps and of reading the files back (and of refusing
-one), written to a BENCH_*.json file.
+generating function, the reflection count of the pyramid's corner walks,
+the lattice's points and gathers built afresh, and the sampler, trapezium,
+generating-function and pointwise reflection checks of ``verify``;
+end-to-end timings of large ``count`` commands (and of a count at d = 8
+that builds its lattice), of ``map`` (both directions and bicolored),
+``pyramid map`` and ``sample``, of saving a random scaffolding, of mapping
+words and walks by saved files and of a fresh interpreter that imports the
+CLI; and the time and memory of the samples, of the save, of the maps and
+of reading the files back (and of refusing one), written to a
+BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -127,6 +130,13 @@ def run_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise RuntimeError(f"triwalks {' '.join(argv)} failed")
+
+
+def uncached(fn, *args):
+    """``fn(*args)`` with the lattice graph cache emptied first, so that the
+    call builds its lattice."""
+    lattice._graph.cache_clear()
+    return fn(*args)
 
 
 def read_text_loads(path):
@@ -254,9 +264,19 @@ def rows():
     for L, N in ((12, 150), (10, 1000)):
         out.append((f"pyramid_gf_coefficients L={L} N={N}", {"L": L, "N": N},
                     best_of(pyramid3d.pyramid_gf_coefficients, L, N)))
+    for L, n in ((12, 150), (40, 400)):
+        out.append((f"pyramid3d.corner_count_by_reflection L={L} n={n}", {"L": L, "n": n},
+                    best_of(pyramid3d.corner_count_by_reflection, L, n)))
+    # the lattice's points and neighbour gathers, built afresh on every call
+    for L, d in ((40, 2), (6, 5)):
+        out.append((f"lattice.all_points L={L} d={d} (graph cache cleared)", {"L": L, "d": d},
+                    best_of(uncached, lattice.all_points, L, d)))
 
     for argv in COUNT_ARGVS:
         out.append((f"cli {argv}", {"argv": argv}, best_of(run_cli, argv.split())))
+    argv = "count triangular --d 8 --L 6 --n 10"
+    out.append((f"cli {argv} (graph cache cleared)", {"argv": argv},
+                best_of(uncached, run_cli, argv.split())))
     for argv in ONCE_ARGVS:
         out.append((f"cli {argv}", {"argv": argv, "repeats": 1},
                     best_of(run_cli, argv.split(), repeats=1)))
@@ -269,6 +289,10 @@ def rows():
     # 1,000 meanders of up to 40 letters next to the trapezium rules
     out.append(("verify.check_sampling", {}, best_of(verify.check_sampling)))
     out.append(("verify.check_trapezium", {}, best_of(verify.check_trapezium)))
+    # the corner counts three ways, and the reflection count at every waffle start
+    out.append(("verify.check_gf", {}, best_of(verify.check_gf)))
+    out.append(("verify.check_reflection_pointwise", {},
+                best_of(verify.check_reflection_pointwise)))
     out = [{"name": name, "params": p, "seconds": float(f"{s:.6g}")} for name, p, s in out]
 
     for argv in SAMPLE_ARGVS:

@@ -3,9 +3,11 @@
 
 Forward walks in the pyramid of side L are equinumerous with N/E/S/W walks
 confined to the waffle {0 <= j <= i <= L - j} that end on the axis j = 0.
-The anchored cell grids give a length-preserving bijection, and unfolding
-the waffle's walls with the reflection principle produces a closed-form
-generating function for the corner counts.
+The anchored cell grids give a length-preserving bijection. The corner
+counts come three ways: the pyramid DP, the closed-form generating
+function, and the reflection principle, which sees a waffle walk as two
++-1 walkers on a segment that never meet and counts them by a 2x2
+determinant of 1-D image sums of binomials.
 """
 
 from triwalks import lattice, pyramid3d

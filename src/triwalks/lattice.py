@@ -241,12 +241,15 @@ def _gather(positions):
 def _graph(L, d):
     """Point index and neighbour gathers per step family: F, B, and G for both.
 
-    Points are indexed lexicographically by coordinates. Cached per lattice;
+    Points are indexed lexicographically by coordinates, built one
+    coordinate at a time: C(L + d, d) tuples, never the (L + 1)^d of a
+    product filtered by sum. Cached per lattice;
     it holds structure only, never a count. A few entries suffice, because
     callers sweep one lattice many times in a row.
     """
-    heads = itertools.product(range(L + 1), repeat=d)
-    pts = [h + (L - sum(h),) for h in heads if sum(h) <= L]
+    pts = [(L,)]  # a partial point ends in what is left of L for its later coordinates
+    for _ in range(d):
+        pts = [(*head, c, rest - c) for *head, rest in pts for c in range(rest + 1)]
     fam = {}
     for ch, sign in (("F", 1), ("B", -1)):
         moves = [step_vector(sign * j, d) for j in range(1, d + 2)]
@@ -307,6 +310,16 @@ def _tridiagonal_step(diag, v):
     """T v, as a list, for the T of ``tridiagonal_power``: the entry at k is
     the sum of those at k - 1 and k + 1, plus its own where diag[k] is 1."""
     return [(e if a else 0) + b + c for a, e, b, c in zip(diag, v, [0, *v], [*v[1:], 0])]
+
+
+def tridiagonal_rows(diag, n, v):
+    """T^m v for m = 0..n, one list at a time, by one ``_tridiagonal_step``
+    each: for the readers of every row, where ``tridiagonal_power`` gives
+    the last one alone."""
+    yield v
+    for _ in range(n):
+        v = _tridiagonal_step(diag, v)
+        yield v
 
 
 def _packed_sweep(diag, n, vectors):
@@ -412,13 +425,13 @@ def _power_mod_chi(diag, n, vectors):
         if bit == "1":
             r = reduce([0, *r])
     out = []
-    for w in vectors:
+    for v in vectors:
         total = [0] * N
-        for rk in r:  # w = T^k v, small: its entries stay below 3^N max(v)
+        # T^k v, small: its entries stay below 3^N max(v)
+        for rk, w in zip(r, tridiagonal_rows(diag, N - 1, v)):
             for i, e in enumerate(w):
                 if e:
                     total[i] += rk * e
-            w = _tridiagonal_step(diag, w)
         out.append(total)
     return out
 

@@ -138,26 +138,14 @@ def _check_sizes(n, L):
         raise ValueError(f"need n, L >= 0, got n={n}, L={L}")
 
 
-def _meander_rows(L, n):
-    """Rows 0..n of the meander table, one at a time, by one step of T per
-    row (the first-step recurrence): for the readers of every row,
-    ``meander_count_table`` and ``uniform_sample``. ``meander_row`` reads the
-    last row alone from ``lattice.tridiagonal_power``."""
-    _check_sizes(n, L)
-    diag = _strip(L)
-    row = [1] + [0] * (L // 2)
-    yield row
-    for _ in range(n):
-        row = lattice._tridiagonal_step(diag, row)
-        yield row
-
-
 def meander_count_table(L, n):
     """table[m][i] = number of meanders of length m from height i, amplitude <= L.
 
-    Built from the first-step recurrence; row m is derived from row m - 1.
+    Built from the first-step recurrence; row m is derived from row m - 1,
+    by ``lattice.tridiagonal_rows``.
     """
-    return list(_meander_rows(L, n))
+    _check_sizes(n, L)
+    return list(lattice.tridiagonal_rows(_strip(L), n, [1] + [0] * (L // 2)))
 
 
 def meander_row(L, n):
@@ -235,8 +223,9 @@ def uniform_sample(n, L, seed=None, rng=None, start_height=0):
         raise HeightOutOfRange(f"start height {start_height} not in 0..{H} for L={L}")
     if rng is None:
         rng = random.Random(seed)
+    _check_sizes(n, L)
     heads = []
-    for row in _meander_rows(L, n):
+    for row in lattice.tridiagonal_rows(_strip(L), n, [1] + [0] * H):
         heads.append(row[0])
     if row[start_height] == 0:
         raise EmptySet(f"no meanders of length {n} from height {start_height}, L={L}")

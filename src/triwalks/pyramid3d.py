@@ -468,53 +468,33 @@ def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
     return coeffs
 
 
-def free_walk_count(n, dx, dy):
-    """N/E/S/W walks of length n with total displacement (dx, dy).
+def _segment_walks(n, a, b, M):
+    """+-1 walks of length n from a to b that stay in 0..M - 2, by the
+    reflection principle (Gessel-Zeilberger 1992): the walls at -1 and M - 1
+    reflect the end b to -2 - b, and the images repeat with period 2M, so the
+    count is the sum over k of t(b - a + 2kM) - t(-2 - b - a + 2kM), with
+    t(d) the binomial C(n, (n + d)/2) of free walks of displacement d."""
+    def t(d):
+        return math.comb(n, (n + d) // 2) if abs(d) <= n and (n + d) % 2 == 0 else 0
 
-    Rotating to u = x + y, v = x - y splits the walk into two independent
-    one-dimensional ones, each counted by a binomial coefficient.
-    """
-    u, v = dx + dy, dx - dy
-    if abs(u) > n or abs(v) > n or (n + u) % 2 or (n + v) % 2:
-        return 0
-    return math.comb(n, (n + u) // 2) * math.comb(n, (n + v) // 2)
-
-
-# endpoint orbit data: positive and negative translate offsets of the lattice
-_POS_SHIFTS = ((0, 0), (1, 3), (4, 2), (3, -1))
-_NEG_SHIFTS = ((1, -1), (0, 2), (3, 3), (4, 0))
-
-
-def _free_walks_to_lattice(L, n, sx, sy):
-    """Free walks from (sx, sy) into the doubled lattice of period 2L + 8."""
-    M = 2 * L + 8
-    total = 0
-    for base in (0, L + 4):
-        kx_lo = -((abs(sx) + n) // M + 1)
-        kx_hi = (abs(sx) + n) // M + 1
-        ky_lo = -((abs(sy) + n) // M + 1)
-        ky_hi = (abs(sy) + n) // M + 1
-        for kx in range(kx_lo, kx_hi + 1):
-            for ky in range(ky_lo, ky_hi + 1):
-                tx, ty = base + kx * M, base + ky * M
-                if abs(tx - sx) + abs(ty - sy) <= n:
-                    total += free_walk_count(n, tx - sx, ty - sy)
-    return total
+    reach = n // (2 * M) + 1  # |2kM| <= n + 2M for every image that n steps reach
+    return sum(t(b - a + 2 * k * M) - t(-2 - b - a + 2 * k * M) for k in range(-reach, reach + 1))
 
 
 def reflection_count(L, n, start):
-    """Confined walks from ``start`` to (0, 0), by signed free-walk counting.
+    """Confined walks from ``start`` to (0, 0), by the reflection principle.
 
-    The waffle is a reflection-group chamber; unfolding the walls turns the
-    confined count into free walks from eight shifted copies of the start,
-    four counted positively and four negatively, into a doubled square
-    lattice of period 2L + 8.
+    As in ``_walker_pairs``, v = i - j and u = i + j + 2 are +-1 walkers on
+    0..L + 2 that never meet, and (0, 0) is v = 0, u = 2. So by
+    Lindstrom-Gessel-Viennot the count is the 2x2 determinant
+    W(v, 0) W(u, 2) - W(v, 2) W(u, 0) of W = ``_segment_walks``, which
+    reads binomials only, never the transfer kernel.
     """
     _check_waffle_point(start, L)
-    x, y = start
-    pos = sum(_free_walks_to_lattice(L, n, x + dx, y + dy) for dx, dy in _POS_SHIFTS)
-    neg = sum(_free_walks_to_lattice(L, n, x + dx, y + dy) for dx, dy in _NEG_SHIFTS)
-    return pos - neg
+    i, j = start
+    v, u, M = i - j, i + j + 2, L + 4
+    return (_segment_walks(n, v, 0, M) * _segment_walks(n, u, 2, M)
+            - _segment_walks(n, v, 2, M) * _segment_walks(n, u, 0, M))
 
 
 def corner_count_by_reflection(L, n):

@@ -1,10 +1,14 @@
 """The indexed walk kernel: steps, whole tables, enumeration, thin callers, grids,
 large sizes."""
 
+import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from operator import add
 
 import pytest
@@ -12,7 +16,8 @@ import pytest
 from triwalks import lattice, motzkin, pyramid3d, verify
 from triwalks.errors import BadDirectionVector, CapExceeded, OutOfLattice, TriwalksError
 
-FLOORS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "verify_floors.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FLOORS = ROOT / "perfbench" / "verify_floors.json"
 
 
 def test_count_table_is_indexed_like_all_points():
@@ -58,6 +63,28 @@ def test_enumerators_allow_exactly_cap_items(enumerate_, size):
     assert len(enumerate_(size)) == size
     with pytest.raises(CapExceeded):
         enumerate_(size - 1)
+
+
+def test_all_points_are_the_product_filtered_by_sum():
+    # the points are built one coordinate at a time, in the order of the
+    # product of the first d coordinates that keeps the heads summing to <= L
+    for L in range(9):
+        for d in range(1, 6):
+            heads = itertools.product(range(L + 1), repeat=d)
+            want = [h + (L - sum(h),) for h in heads if sum(h) <= L]
+            assert lattice.all_points(L, d) == want, (L, d)
+    assert len(lattice.all_points(2, 30)) == 496  # C(32, 30), not 3^30 candidates
+
+
+def test_a_thirty_dimensional_count_answers():
+    # in a child process with a timeout: a lattice built from all (L + 1)^d
+    # tuples would never answer
+    argv = ["count", "triangular", "--d", "30", "--L", "2", "--n", "1"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "triwalks", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["outputs"]["count"] == "1"
 
 
 def test_pyramid_points_follow_all_points():
@@ -111,6 +138,10 @@ def test_direction_vector_letters_are_checked(call):
 def test_pyramid_dp_equals_reflection_past_the_grid():
     assert pyramid3d.count_pyramid_paths(10, 100, lattice.origin(10, 3)) == (
         pyramid3d.corner_count_by_reflection(10, 100)
+    )
+    # the reflection leg at L = 40, n = 400, against the cell sum
+    assert pyramid3d.forward_count(40, lattice.origin(40, 3), 400) == (
+        pyramid3d.corner_count_by_reflection(40, 400)
     )
 
 

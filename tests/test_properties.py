@@ -324,10 +324,10 @@ def test_both_transfer_engines_equal_the_meander_rows(case):
     # and the second, e_i, gives entry i again, since T is symmetric
     L, n, i = case
     H = L // 2
-    for row in motzkin._meander_rows(L, n):
-        pass
     diag = [1] * H + [L % 2]
     starts = [[1] + [0] * H, [int(k == i) for k in range(H + 1)]]
+    for row in lattice.tridiagonal_rows(diag, n, starts[0]):  # one row held at a time
+        pass
     packed = lattice._packed_sweep(diag, n, starts)
     assert packed[0] == row and packed[1][0] == row[i]
     assert lattice._power_mod_chi(diag, n, starts) == packed

@@ -513,26 +513,25 @@ def test_waffle_points_are_checked():
         assert set(messages) == {f"{pt} is not a waffle point (i, j) with 0 <= j <= i <= 4 - j"}
 
 
-def test_free_walk_count():
-    assert pyramid3d.free_walk_count(0, 0, 0) == 1
-    assert pyramid3d.free_walk_count(1, 1, 0) == 1
-    assert pyramid3d.free_walk_count(2, 0, 0) == 4
-    assert pyramid3d.free_walk_count(3, 0, 0) == 0  # parity
-    # row sums: 4^n walks in total
-    for n in range(6):
-        assert sum(
-            pyramid3d.free_walk_count(n, dx, dy)
-            for dx in range(-n, n + 1)
-            for dy in range(-n, n + 1)
-        ) == 4**n
+def test_segment_walks_equal_the_kernel_rows():
+    # every start a and end b of the segment 0..L + 2, M = L + 4, against
+    # the transfer kernel from e_a
+    for L in range(9):
+        N = L + 3
+        for n in range(21):
+            for a in range(N):
+                e_a = [int(k == a) for k in range(N)]
+                row = lattice.tridiagonal_power([0] * N, n, [e_a])[0]
+                assert [pyramid3d._segment_walks(n, a, b, L + 4) for b in range(N)] == row, (
+                    L, n, a)
 
 
 def test_reflection_counts():
     assert pyramid3d.reflection_count(4, 0, (0, 0)) == 1
     assert pyramid3d.reflection_count(4, 1, (1, 0)) == 1
-    for L in range(4):
+    for L in range(9):
         for start in pyramid3d.waffle_points(L):
-            for n in range(8):
+            for n in range(16):
                 assert pyramid3d.reflection_count(L, n, start) == pyramid3d.count_waffle_walks_to(
                     L, n, start
                 )
