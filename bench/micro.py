@@ -1,17 +1,17 @@
 """Per-layer timings of ``lattice.move`` and ``lattice.parse_steps``, the
 scaffolding transducers (trapezium both ways and bicolored, random both
-ways), the forward sampler, the 3d scaffolding, the 1-D transfer kernel
-behind the served counts and each of its two engines, the closed-form
-generating function, the reflection count of the pyramid's corner walks,
-the lattice's points and gathers built afresh, and the sampler, trapezium,
-generating-function and pointwise reflection checks of ``verify``;
-end-to-end timings of large ``count`` commands (and of a count at d = 8
-that builds its lattice), of ``map`` (both directions and bicolored),
-``pyramid map`` and ``sample``, of saving a random scaffolding, of mapping
-words and walks by saved files and of a fresh interpreter that imports the
-CLI; and the time and memory of the samples, of the save, of the maps and
-of reading the files back (and of refusing one), written to a
-BENCH_*.json file.
+ways), the forward sampler, the 3d scaffolding, the omega inverse, the
+1-D transfer kernel behind the served counts and each of its two engines,
+the closed-form generating function, the reflection count of the
+pyramid's corner walks, the lattice's points and gathers built afresh,
+and the sampler, trapezium, generating-function and pointwise reflection
+checks of ``verify``; end-to-end timings of large ``count`` and ``gf``
+commands (and of a count at d = 8 that builds its lattice), of ``map``
+(both directions and bicolored), ``pyramid map`` and ``sample``, of
+saving a random scaffolding, of mapping words and walks by saved files
+and of a fresh interpreter that imports the CLI; and the time and memory
+of the samples, of the save, of the maps and of reading the files back
+(and of refusing one), written to a BENCH_*.json file.
 
     PYTHONPATH=<parent checkout>/src python bench/micro.py --label parent-1 --out BENCH_21.json
     PYTHONPATH=src python bench/micro.py --label change-1 --out BENCH_21.json
@@ -55,7 +55,7 @@ import tempfile
 import time
 import tracemalloc
 
-from triwalks import cli, lattice, motzkin, pyramid3d, scaffold2d, verify
+from triwalks import cli, lattice, motzkin, omega, pyramid3d, scaffold2d, verify
 
 REPEATS = 5
 
@@ -112,12 +112,15 @@ COUNT_ARGVS = [
     "count pyramid --L 40 --n 10000",
     "count pyramid --L 40 --n 30000",
     "gf --L 10 --terms 100",
+    "gf --L 12 --terms 150",
 ]
 
-# timed once: on a checkout that steps the counts row by row each takes 10-16 s
+# timed once: on a checkout that steps the counts row by row each takes 10-16 s,
+# and on one that evaluates the closed form in fixed point `gf` takes about 4 s
 ONCE_ARGVS = [
     "count triangular --L 40 --n 100000",
     "count pyramid --L 40 --n 100000",
+    "gf --L 40 --terms 2000",
 ]
 
 SAMPLE_ARGVS = [
@@ -252,6 +255,12 @@ def rows():
     out.append((f"cli {argv} <walk>", {**params, "argv": f"{argv} <walk>"},
                 best_of(run_cli, [*argv.split(), walk])))
 
+    n, L = 480, 7
+    word = motzkin.uniform_sample(n, L, seed=1)
+    out.append(("omega.motzkin_to_forward_exp", {"n": n, "L": L,
+                                                 "word": "uniform_sample(n, L, seed=1)"},
+                best_of(omega.motzkin_to_forward_exp, L, word)))
+
     # the largest sizes of the perfbench count workload: motzkin, triangular
     # and waffle; each is one call of the 1-D transfer kernel
     for L, n in ((12, 400), (24, 250)):
@@ -261,7 +270,7 @@ def rows():
                 best_of(pyramid3d.count_waffle_walks, 30, 200, (0, 0))))
     out += engine_rows()
 
-    for L, N in ((12, 150), (10, 1000)):
+    for L, N in ((12, 150), (10, 1000), (40, 400)):
         out.append((f"pyramid_gf_coefficients L={L} N={N}", {"L": L, "N": N},
                     best_of(pyramid3d.pyramid_gf_coefficients, L, N)))
     for L, n in ((12, 150), (40, 400)):

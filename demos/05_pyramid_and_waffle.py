@@ -4,22 +4,26 @@
 Forward walks in the pyramid of side L are equinumerous with N/E/S/W walks
 confined to the waffle {0 <= j <= i <= L - j} that end on the axis j = 0.
 The anchored cell grids give a length-preserving bijection. The corner
-counts come three ways: the pyramid DP, the closed-form generating
-function, and the reflection principle, which sees a waffle walk as two
-+-1 walkers on a segment that never meet and counts them by a 2x2
-determinant of 1-D image sums of binomials.
+counts come four ways: the pyramid DP; the walker rows that `gf` serves,
+which step those two +-1 walkers on a segment and read a 2x2 determinant
+after each step; the closed-form generating function, evaluated exactly
+as a constant term; and the reflection principle, which sees a waffle
+walk as two +-1 walkers on a segment that never meet and counts them by
+a 2x2 determinant of 1-D image sums of binomials.
 """
 
 from triwalks import lattice, pyramid3d
 
 L = 2
 O = lattice.origin(L, 3)
-print(f"pyramid of side {L}, corner counts three ways:")
+print(f"pyramid of side {L}, corner counts four ways:")
+rows = pyramid3d.corner_counts(L, 10)
 gf = pyramid3d.pyramid_gf_coefficients(L, 10)
 for n in range(11):
     dp = pyramid3d.count_pyramid_paths(L, n, O)
     refl = pyramid3d.corner_count_by_reflection(L, n)
-    print(f"  n={n:2d}: dp={dp:5d}  closed form={gf[n]:5d}  reflection={refl:5d}")
+    print(f"  n={n:2d}: dp={dp:5d}  rows={rows[n]:5d}  closed form={gf[n]:5d}"
+          f"  reflection={refl:5d}")
 
 print()
 z = (1, 0, 0, 1)

@@ -288,7 +288,7 @@ def cmd_profile(args):
 
 
 def cmd_gf(args):
-    coeffs = [_digits(c) for c in pyramid3d.pyramid_gf_coefficients(args.L, args.terms)]
+    coeffs = [_digits(c) for c in pyramid3d.corner_counts(args.L, args.terms)]
     return ({"inputs": {"L": args.L, "terms": args.terms}, "outputs": {"coefficients": coeffs}},
             [f"coefficients: [{', '.join(coeffs)}]"])
 

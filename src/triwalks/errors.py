@@ -77,9 +77,5 @@ class InvalidWalk(TriwalksError):
     """A waffle walk leaves its domain."""
 
 
-class PrecisionLoss(TriwalksError):
-    """A numerically evaluated integer coefficient failed its rounding check."""
-
-
 class UsageError(TriwalksError):
     """Bad command line flags."""

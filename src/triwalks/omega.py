@@ -105,19 +105,32 @@ def omega(L, k, steps, stats=None):
 
 
 def omega_inverse(L, k, image, stats=None):
-    """Walk the arrows of ``omega`` backwards; exact inverse on its image."""
+    """Walk the arrows of ``omega`` backwards; exact inverse on its image.
+
+    The meander's start and amplitude, or the walk, are checked here once:
+    every image that ``_inverse`` hands down is a suffix of that meander or
+    a walk of the triangle that it built."""
     H = L // 2
     if not 0 <= k <= H:
         raise HeightOutOfRange(f"k={k} not in 0..{H} for L={L}")
-    if stats is not None:
-        stats["calls"] = stats.get("calls", 0) + 1
-    reflected, exits = _chain(L, k)
     if image.is_meander:
         word = image.meander
         if word.start_height != k:
             raise NotInImage(f"meander starts at {word.start_height}, expected {k}")
         if not fits_amplitude(word, L):
             raise NotInImage(f"amplitude exceeds {L}")
+    elif k:
+        validate_path(L, 2, edge_point(L, k - 1), tuple(image.path))
+    return _inverse(L, k, image, stats)
+
+
+def _inverse(L, k, image, stats):
+    """``omega_inverse`` of an image whose start, amplitude or walk is known good."""
+    if stats is not None:
+        stats["calls"] = stats.get("calls", 0) + 1
+    reflected, exits = _chain(L, k)
+    if image.is_meander:
+        word = image.meander
         if not word.steps:
             if k != 0:
                 raise NotInImage("empty meander only arises at k = 0")
@@ -137,7 +150,6 @@ def omega_inverse(L, k, image, stats=None):
         n = len(path)
         if n == 0:
             return ()
-        validate_path(L, 2, edge_point(L, k - 1), path)
         u = transform(path, "B" + "F" * (n - 1))
         head, tail = u[0], tuple(u[1:])
         if head == SB3:
@@ -148,7 +160,7 @@ def omega_inverse(L, k, image, stats=None):
         out = len(exits)
         image = OmegaImage(path=tail)
     for _, level in reversed(exits[:out + 1]):
-        image = OmegaImage(path=omega_inverse(L, level, image, stats))
+        image = OmegaImage(path=_inverse(L, level, image, stats))
     walk = image.path
     if reflected:
         walk = reflect(transform(walk, "B" * len(walk)))

@@ -34,10 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
+from operator import add, mul
 
 from . import lattice
-from .errors import InvalidWalk, NotAllowed, OutsideWaffle, PrecisionLoss
+from .errors import InvalidWalk, NotAllowed, OutsideWaffle
 from .profiles import certify
 
 CARDINAL = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
@@ -85,7 +85,21 @@ def forward_count(L, z, n):
         raise ValueError(f"need n >= 0, got n={n}")
     x1, x2, x3, x4 = z
     return _walker_pairs(L, n, range(abs(x1 - x3), x1 + x3 + 1, 2),
-                         range(x1 + x3, L - abs(x2 - x4) + 1, 2), [(e, e) for e in range(L + 1)])
+                         range(x1 + x3, L - abs(x2 - x4) + 1, 2), (0, 0, L + 1))
+
+
+def corner_counts(L, N):
+    """p_0 .. p_N at the corner (0, 0, 0, L): ``forward_count`` for every n
+    at once. The corner's one cell is anchored at (0, 0), so the walkers start
+    at v = 0 and u + 2 = 2; one pass of ``lattice.tridiagonal_rows`` per start
+    vector gives every row, and each row pair its ``_nonmeeting`` sum."""
+    if N < 0 or L < 0:
+        raise ValueError(f"need N, L >= 0, got N={N}, L={L}")
+    diag = [0] * (L + 3)
+    low, up = _walker_starts(L, [0], [0])
+    return [_nonmeeting(lo, hi, (0, 0, L + 1))
+            for lo, hi in zip(lattice.tridiagonal_rows(diag, N, low),
+                              lattice.tridiagonal_rows(diag, N, up))]
 
 
 def paired_start_point(L, i, j):
@@ -108,7 +122,8 @@ def _check_walk(L, n, start):
 
 def _walker_pairs(L, n, lower, upper, ends):
     """Waffle walks of length n from each (v, u) in ``lower`` x ``upper`` to
-    each (v, u) in ``ends``, where v = i - j and u = i + j: 0 <= v <= u <= L.
+    the ``ends`` of ``_nonmeeting``, where v = i - j and u = i + j:
+    0 <= v <= u <= L.
 
     A step moves v and u by +-1 each, so v and u + 2 are walkers of one parity
     on 0..L+2 that never meet (Grabiner 2002). By Lindstrom-Gessel-Viennot they
@@ -117,17 +132,29 @@ def _walker_pairs(L, n, lower, upper, ends):
     for the walker's matrix T, one call of ``lattice.tridiagonal_power``: O(n)
     packed steps for short walks, O(L^2 log n) operations on n-bit numbers
     for long ones."""
-    low = [int(x in lower) for x in range(L + 3)]
-    up = [int(x - 2 in upper) for x in range(L + 3)]
-    low, up = lattice.tridiagonal_power([0] * (L + 3), n, [low, up])
-    return sum(low[v] * up[u + 2] - low[u + 2] * up[v] for v, u in ends)
+    low, up = lattice.tridiagonal_power([0] * (L + 3), n, _walker_starts(L, lower, upper))
+    return _nonmeeting(low, up, ends)
+
+
+def _walker_starts(L, lower, upper):
+    """The start vectors on 0..L+2 of the walkers v in ``lower`` and u + 2, u in ``upper``."""
+    return [int(x in lower) for x in range(L + 3)], [int(x - 2 in upper) for x in range(L + 3)]
+
+
+def _nonmeeting(low, up, ends):
+    """The LGV sum over the ends (v + e, u + e), 0 <= e < k, for ``ends`` =
+    (v, u, k): low[v] up[u + 2] - low[u + 2] up[v] summed over them, with
+    ``low`` and ``up`` the walkers' rows. The axis v = u is (0, 0, L + 1)."""
+    v, u, k = ends
+    return (sum(map(mul, low[v:v + k], up[u + 2:u + 2 + k]))
+            - sum(map(mul, low[u + 2:u + 2 + k], up[v:v + k])))
 
 
 def count_waffle_walks(L, n, start):
     """Walks of length n in the waffle from ``start`` to the axis (``_walker_pairs``)."""
     _check_walk(L, n, start)
     i, j = start
-    return _walker_pairs(L, n, [i - j], [i + j], [(e, e) for e in range(L + 1)])
+    return _walker_pairs(L, n, [i - j], [i + j], (0, 0, L + 1))
 
 
 def count_waffle_walks_to(L, n, start, end=(0, 0)):
@@ -135,7 +162,7 @@ def count_waffle_walks_to(L, n, start, end=(0, 0)):
     _check_walk(L, n, start)
     _check_waffle_point(end, L)
     (i, j), (a, b) = start, end
-    return _walker_pairs(L, n, [i - j], [i + j], [(a - b, a + b)])
+    return _walker_pairs(L, n, [i - j], [i + j], (a - b, a + b, 1))
 
 
 def signed_waffle_array(L, n_max):
@@ -365,106 +392,51 @@ def enumerate_waffle_walks(L, start, n):
 
 # -- closed-form generating function and the reflection principle -------------
 
-# bits kept below the working precision inside _pi and _two_cos, so that
-# their own rounding errors never reach the bits they return
-_GUARD = 64
+def pyramid_gf_coefficients(L, N):
+    """Taylor coefficients of the corner-walk generating function, exactly,
+    from the closed form: an oracle for ``corner_counts``.
 
-
-def _pi(bits):
-    """pi * 2**bits, to within one unit, by Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) in integer fixed point."""
-    p = bits + _GUARD
-
-    def atan_inv(x):  # atan(1/x) * 2**p, by its alternating series
-        total, term, k = 0, (1 << p) // x, 1
-        while term:
-            total += term // k if k % 4 == 1 else -(term // k)
-            term //= x * x
-            k += 2
-        return total
-
-    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> _GUARD
-
-
-def _two_cos(rs, M, bits):
-    """2 cos(r pi / M) * 2**bits for each r in ``rs`` (0 <= r <= M), to within
-    a unit, by the Taylor series at an angle folded into [0, pi/2]."""
-    p = bits + _GUARD
-    pi = _pi(p)
-    out = []
-    for r in rs:
-        sign, r = (-1, M - r) if 2 * r > M else (1, r)
-        x2 = (r * pi // M) ** 2 >> p
-        total = term = 1 << p
-        k = 0
-        while term:
-            k += 2
-            term = -(term * x2 >> p) // (k * (k - 1))
-            total += term
-        out.append(sign * (total >> (_GUARD - 1)))
-    return out
-
-
-def pyramid_gf_coefficients(L, N, tolerance=1e-6, dps=None):
-    """Taylor coefficients of the corner-walk generating function.
-
-    The closed form is a finite sum of geometric terms: with M = L + 4 and
-    c_r = 2 cos(r pi / M),
+    With M = L + 4 and c_r = 2 cos(r pi / M), the closed form is
 
         P(t) = 1/M^2 * sum over odd 1 <= j < k <= L + 3 of
                (c_k - c_j)^2 (2 + c_j) (2 + c_k) / (1 - (c_j + c_k) t),
 
     so the n-th coefficient is the same sum with (c_j + c_k)^n in place of
-    the geometric factor.
+    the geometric factor. The x with x^M = -1 are zeta^r for the M odd r
+    below 2M, zeta = e^(i pi / M), and there x + 1/x = c_r. By the
+    orthogonality of the 2M-th roots of unity, the mean over them of a
+    polynomial in Z[x]/(x^M + 1) is its constant term. c_r = c_{2M-r}, and where M
+    is odd the root r = M adds nothing, as 2 + c_M = 0; so the sum over all
+    odd r and s is four times the sum over odd r, s < M, and eight times
+    the sum over r < s, since the summand is symmetric and vanishes at
+    r = s. So, with X = x + 1/x and Y = y + 1/y,
 
-    It is evaluated in integer fixed point: a real x is held as the int
-    x * 2**prec, rounded down, with prec = ceil(dps log2 10) bits, so
-    ``dps`` is the working precision in decimal digits. pi comes from
-    Machin's formula and each c_r from its Taylor series. The terms are
-    grouped by lam = |c_j + c_k|; a group adds up to lam^n (w+ + w-) at even
-    n and lam^n (w+ - w-) at odd n, with w+ and w- its weights at +lam and
-    -lam. Each of the two is advanced by one multiply by lam^2 and one shift
-    per two n. For even L, c_{M-r} = -c_r gives every c_j + c_k its
-    negative, which halves the multiplies; for odd L each group is one term.
-    Every coefficient must round to an integer within ``tolerance``,
-    compared exactly, or PrecisionLoss is raised. Since |c_j + c_k| < 4, the
-    terms stay below 4^N times a constant, so the default precision is
-    N log10(4) digits plus 20 guard digits.
+        a_n = 1/8 [x^0 y^0] (X - Y)^2 (2 + X) (2 + Y) (X + Y)^n
+
+    in Z[x, y]/(x^M + 1, y^M + 1), with no rounding. The grid holds the
+    coefficient of x^a y^b at [b][a], 0 <= a, b < M; a step multiplies it
+    by X + Y, one negacyclic shift each way along each axis.
     """
     if N < 0 or L < 0:
         raise ValueError(f"need N, L >= 0, got N={N}, L={L}")
-    if dps is None:
-        dps = math.ceil(N * math.log10(4)) + 20
-    prec = math.ceil(dps * math.log2(10))
     M = L + 4
-    odd = range(1, L + 4, 2)
-    c = dict(zip(odd, _two_cos(odd, M, prec)))
-    two = 2 << prec
-    weights = {}  # lam -> [w+, w-]
-    for j in odd:
-        for k in range(j + 2, L + 4, 2):
-            d, lam = c[k] - c[j], c[j] + c[k]
-            weights.setdefault(abs(lam), [0, 0])[lam < 0] += (
-                d * d * (two + c[j]) * (two + c[k]) >> 3 * prec)
-    squares = [lam * lam >> prec for lam in weights]
-    # the group sums at the next even n and the next odd n
-    chains = [[p + m for p, m in weights.values()],
-              [(p - m) * lam >> prec for lam, (p, m) in weights.items()]]
-    den = M * M << prec  # a coefficient is sum(chain) / den
-    half = den >> 1
-    tol_num, tol_den = Fraction(tolerance).as_integer_ratio()
-    limit = tol_num * den  # off / den >= tolerance, in integers
-    coeffs = []
-    for n in range(N + 1):
-        chain = chains[n % 2]
-        r, rem = divmod(sum(chain) + half, den)  # the nearest integer
-        off = abs(rem - half)
-        if off * tol_den >= limit:
-            # int / int rounds once and never overflows, as float(den) would
-            raise PrecisionLoss(f"coefficient {n} off by {off / den:.3g}")
-        coeffs.append(r)
-        if n + 2 <= N:
-            chains[n % 2] = [x * q >> prec for x, q in zip(chain, squares)]
+
+    def times_x(row):  # row * (x + 1/x), with x^M = -1
+        return list(map(add, [-row[-1], *row[:-1]], [*row[1:], -row[0]]))
+
+    a1 = [2, 1, *[0] * (M - 3), -1]  # 2 + X, as x^-1 = -x^(M-1)
+    a2 = times_x(a1)  # X (2 + X)
+    a3 = times_x(a2)  # X^2 (2 + X)
+    # (X^2 - 2XY + Y^2)(2 + X)(2 + Y): a3 a1 - 2 a2 a2 + a1 a3, in x and in y
+    grid = [[x3 * y1 - 2 * x2 * y2 + x1 * y3 for x1, x2, x3 in zip(a1, a2, a3)]
+            for y1, y2, y3 in zip(a1, a2, a3)]
+    coeffs = [grid[0][0] // 8]
+    for _ in range(N):
+        below = [[-e for e in grid[-1]], *grid[:-1]]  # grid * y
+        above = [*grid[1:], [-e for e in grid[0]]]  # grid / y
+        grid = [list(map(add, times_x(row), map(add, b, c)))
+                for row, b, c in zip(grid, below, above)]
+        coeffs.append(grid[0][0] // 8)
     return coeffs
 
 

@@ -84,8 +84,8 @@ def test_criterion_08_pyramid_waffle():
 
 
 def test_criterion_09_generating_function():
-    # tolerance 1e-6 on coefficient rounding is enforced inside the
-    # evaluation and would raise PrecisionLoss
+    # the closed form is an exact constant term, so the three legs compare
+    # integers and no tolerance applies
     _criterion(9, verify.check_gf(max_L=4, max_n=12))
     _criterion(9, verify.check_reflection_pointwise(max_L=4, max_n=10))
 

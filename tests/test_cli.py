@@ -538,7 +538,7 @@ PYRAMID_ROW_ARGVS = {
     "pyramid count": ("pyramid count --L 3 --n 4", {"forward_count"}),
     "count waffle": ("count waffle --L 3 --n 4", {"count_waffle_walks"}),
     "pyramid map": ("pyramid map --L 4 --cell 0,0 --walk ENSWEENS", {"waffle_to_pyramid"}),
-    "gf": ("gf --L 3 --terms 5", {"pyramid_gf_coefficients"}),
+    "gf": ("gf --L 3 --terms 5", {"corner_counts"}),
     "verify --suite pyramid": (
         "verify --suite pyramid --max-L 2 --max-n 2",
         {"count_pyramid_paths", "profile3d", "anchor", "diamond_delta", "reflection_count"},

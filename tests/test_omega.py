@@ -156,3 +156,32 @@ def test_images_and_call_counts_are_pinned():
             assert omega.motzkin_to_forward_exp(L, word, inv) == walk
             digest.update(f"{L}:{n}:{word.steps}:{fwd['calls']}:{inv['calls']}\n".encode())
     assert digest.hexdigest() == PINNED_IMAGES_AND_CALLS
+
+
+def test_inverse_checks_its_input_once(monkeypatch):
+    # the amplitude is checked once per call, not once per level of the
+    # recursion, and a walk image is validated once
+    calls = {"fits_amplitude": 0, "validate_path": 0}
+
+    def counted(name):
+        real = getattr(omega, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(omega, name, counted(name))
+    L, n = 7, 120
+    walk = scaffold2d.sample_forward_path(L, n, seed=1)
+    word = omega.forward_to_motzkin_exp(L, walk)
+    stats = {}
+    assert omega.motzkin_to_forward_exp(L, word, stats) == walk
+    assert calls == {"fits_amplitude": 1, "validate_path": 0}
+    assert stats["calls"] > n
+    # a walk from the origin is a walk image at level 1
+    back = omega.omega_inverse(L, 1, OmegaImage(path=walk))
+    assert omega.omega(L, 1, back) == OmegaImage(path=walk)
+    assert calls == {"fits_amplitude": 1, "validate_path": 1}

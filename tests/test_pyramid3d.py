@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from triwalks import lattice, pyramid3d
-from triwalks.errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle, PrecisionLoss
+from triwalks.errors import InvalidWalk, NotAllowed, OutOfLattice, OutsideWaffle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -373,7 +373,8 @@ def test_the_dp_oracles_never_read_the_cell_sum():
     import sys
 
     served = {pyramid3d.forward_count.__code__, pyramid3d.count_waffle_walks.__code__,
-              pyramid3d.count_waffle_walks_to.__code__, pyramid3d._walker_pairs.__code__}
+              pyramid3d.count_waffle_walks_to.__code__, pyramid3d._walker_pairs.__code__,
+              pyramid3d.corner_counts.__code__}
     reached = []
 
     def profiler(frame, event, arg):
@@ -398,6 +399,7 @@ def test_the_dp_oracles_never_read_the_cell_sum():
         pyramid3d.forward_count(3, (1, 0, 1, 1), 4)
         pyramid3d.count_waffle_walks(3, 4, (1, 0))
         pyramid3d.count_waffle_walks_to(3, 4, (1, 0))
+        pyramid3d.corner_counts(3, 4)
     finally:
         sys.setprofile(None)
     assert set(reached) == served
@@ -443,12 +445,10 @@ def test_gf_coefficients():
         assert coeffs[0] == 1
         for n in range(11):
             assert coeffs[n] == pyramid3d.count_pyramid_paths(L, n, lattice.origin(L, 3))
-    with pytest.raises(PrecisionLoss, match=r"^coefficient 0 off by \S+$"):
-        pyramid3d.pyramid_gf_coefficients(3, 12, tolerance=1e-12, dps=3)
 
 
 def test_gf_matches_reflection_past_the_fixed_precision():
-    # 150 terms need about 110 digits; every coefficient is an exact integer
+    # 150 terms reach 82 digits; the closed form is evaluated exactly
     coeffs = pyramid3d.pyramid_gf_coefficients(12, 150)
     assert coeffs == [pyramid3d.corner_count_by_reflection(12, n) for n in range(151)]
 
@@ -468,23 +468,19 @@ def test_gf_equals_the_corner_count_up_to_L_16_and_200_terms():
         assert corner[N] == pyramid3d.forward_count(L, lattice.origin(L, 3), N), L
 
 
-def test_gf_fixed_point_pi_and_cosines_are_within_a_unit():
-    bits = 160  # 10^-50 is 2^-166, below a unit
-    pi50 = 314159265358979323846264338327950288419716939937510  # pi * 10^50
-    assert abs(pyramid3d._pi(bits) - (pi50 << bits) // 10**50) <= 2
-    one = 1 << bits
-    for M in (5, 8, 16, 19):
-        c = pyramid3d._two_cos(range(M + 1), M, bits)
-        assert (c[0], c[M]) == (2 * one, -2 * one)
-        for r in range(M // 2 + 1):
-            # 2 cos(2x) = (2 cos x)^2 - 2, and cos(pi - x) = -cos x
-            assert abs((c[r] * c[r] >> bits) - 2 * one - c[2 * r]) <= 5, (M, r)
-            assert abs(c[r] + c[M - r]) <= 2, (M, r)
+def test_served_gf_rows_equal_the_closed_form():
+    # the walker rows that serve `gf` against the exact constant term
+    for L in range(13):
+        assert pyramid3d.corner_counts(L, 200) == pyramid3d.pyramid_gf_coefficients(L, 200), L
+    assert pyramid3d.corner_counts(40, 400) == pyramid3d.pyramid_gf_coefficients(40, 400)
+    assert pyramid3d.corner_counts(0, 0) == [1]
+    for L, N in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match=r">= 0"):
+            pyramid3d.corner_counts(L, N)
 
 
 def test_gf_answers_2000_terms():
-    # the tolerance is compared in integers: as a float, tolerance times the
-    # 4,000-bit denominator would overflow
+    # coefficients past 10^800, exact in both the closed form and the kernel
     coeffs = pyramid3d.pyramid_gf_coefficients(4, 2000)
     assert coeffs[2000] == pyramid3d.forward_count(4, lattice.origin(4, 3), 2000)
     assert coeffs[2000] > 10**800
